@@ -5,9 +5,11 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use regcluster_core::{
-    mine, mine_engine, mine_parallel, EngineConfig, MiningParams, SplitStrategy,
+    finalize_clusters, mine, mine_prepared_to_sink, EngineConfig, MineControl, Miner, MiningParams,
+    NoopObserver, RegCluster, SplitStrategy, VecSink,
 };
 use regcluster_datagen::{generate, running_example, SyntheticConfig};
+use regcluster_matrix::ExpressionMatrix;
 
 fn bench_running_example(c: &mut Criterion) {
     let m = running_example();
@@ -35,14 +37,29 @@ fn bench_synthetic(c: &mut Criterion) {
     group.finish();
 }
 
+/// One collecting run — model build, enumeration at `config`, then
+/// finalization — the unit every thread-scaling point times.
+fn mine_collect(
+    matrix: &ExpressionMatrix,
+    params: &MiningParams,
+    config: &EngineConfig,
+) -> Vec<RegCluster> {
+    let miner = Miner::new(matrix, params).expect("valid");
+    let sink = VecSink::new();
+    mine_prepared_to_sink(&miner, config, &MineControl::new(), &NoopObserver, &sink)
+        .expect("mining succeeds");
+    let mut clusters = sink.into_clusters();
+    finalize_clusters(&mut clusters, params);
+    clusters
+}
+
 /// Thread-scaling ablation on a Figure-7-scale workload, one benchmark per
 /// (split strategy × thread count) point:
 ///
 /// * `stealing/N` — the work-stealing engine, which re-balances subtrees
 ///   spilled from busy workers at any enumeration depth;
-/// * `static/N` — `SplitStrategy::StaticRoots`, reproducing the old
-///   `mine_parallel` behaviour of distributing only root subtrees, whose
-///   speedup is bounded by the largest root subtree.
+/// * `static/N` — `SplitStrategy::StaticRoots`, distributing only root
+///   subtrees, whose speedup is bounded by the largest root subtree.
 fn bench_thread_scaling(c: &mut Criterion) {
     let cfg = SyntheticConfig {
         n_genes: 3000,
@@ -59,15 +76,15 @@ fn bench_thread_scaling(c: &mut Criterion) {
         ] {
             let config = EngineConfig::new(threads).with_split(split);
             group.bench_with_input(BenchmarkId::new(label, threads), &config, |b, config| {
-                b.iter(|| {
-                    black_box(mine_engine(&data.matrix, &params, config).expect("mining succeeds"))
-                });
+                b.iter(|| black_box(mine_collect(&data.matrix, &params, config)));
             });
         }
     }
-    // The public façade, for continuity with pre-engine measurements.
+    // The default engine at 4 threads, kept under its historical name so
+    // earlier measurements of this point stay comparable.
     group.bench_function("mine_parallel_facade/4", |b| {
-        b.iter(|| black_box(mine_parallel(&data.matrix, &params, 4).expect("mining succeeds")));
+        let config = EngineConfig::new(4);
+        b.iter(|| black_box(mine_collect(&data.matrix, &params, &config)));
     });
     group.finish();
 }

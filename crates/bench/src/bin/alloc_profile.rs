@@ -2,10 +2,10 @@
 //! ns-per-node for the running example and seeded synthetic workloads.
 //!
 //! A counting global allocator tallies every allocation in the process, so
-//! runs are taken back-to-back on one thread and the per-workload delta is
-//! attributed to the mining call between the samples. The second (warm)
-//! sequential run reuses a [`MineWorkspace`]-style warmed state where the
-//! API allows, which is what the steady-state row reports.
+//! runs are 1-thread engine runs taken back-to-back and the per-workload
+//! delta is attributed to the mining call between the samples. The warm
+//! runs reuse the buffers the [`Miner`] kept from the cold run, which is
+//! what the steady-state row reports.
 //!
 //! ```sh
 //! cargo run --release -p regcluster-bench --bin alloc_profile
@@ -15,7 +15,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use regcluster_core::{MineObserver, MineWorkspace, Miner, MiningParams, MiningStats};
+use regcluster_core::{
+    mine_prepared_to_sink, EngineConfig, MineControl, Miner, MiningParams, NoopObserver, VecSink,
+};
 use regcluster_datagen::{generate, running_example, PatternKind, SyntheticConfig};
 use regcluster_matrix::ExpressionMatrix;
 
@@ -52,37 +54,38 @@ fn snapshot() -> (u64, u64) {
 
 fn profile(label: &str, matrix: &ExpressionMatrix, params: &MiningParams) {
     let miner = Miner::new(matrix, params).expect("valid params");
-    let mut workspace = MineWorkspace::new();
-    let run = |workspace: &mut MineWorkspace, observer: &mut dyn MineObserver| {
+    let config = EngineConfig::new(1);
+    let control = MineControl::new();
+    let run = || {
+        let sink = VecSink::new();
         let (a0, b0) = snapshot();
         let t = Instant::now();
-        let clusters = miner.mine_all_with(workspace, observer);
+        let report = mine_prepared_to_sink(&miner, &config, &control, &NoopObserver, &sink)
+            .expect("mining succeeds");
         let elapsed = t.elapsed();
         let (a1, b1) = snapshot();
-        (clusters.len(), a1 - a0, b1 - b0, elapsed)
+        (report.stats, a1 - a0, b1 - b0, elapsed)
     };
 
-    // Cold run: workspace buffers grow from empty.
-    let mut stats = MiningStats::default();
-    let (n_clusters, cold_allocs, cold_bytes, cold_t) = run(&mut workspace, &mut stats);
+    // Cold run: the miner's buffers grow from empty.
+    let (stats, cold_allocs, cold_bytes, cold_t) = run();
     let nodes = stats.nodes.max(1) as f64;
-    // Warm runs: the workspace is at its high-water marks — the allocator's
-    // steady state. Remaining allocations are per-emission only. Timing is
-    // the best of five runs to shrug off scheduler noise; the allocation
-    // counts are deterministic across warm runs.
+    // Warm runs: the buffers are at their high-water marks — the
+    // allocator's steady state. Remaining allocations are per-emission
+    // only. Timing is the best of five runs to shrug off scheduler noise;
+    // the allocation counts are deterministic across warm runs.
     let mut warm_allocs = u64::MAX;
     let mut warm_bytes = u64::MAX;
     let mut warm_t = std::time::Duration::MAX;
     for _ in 0..5 {
-        let mut stats2 = MiningStats::default();
-        let (_, a, b, t) = run(&mut workspace, &mut stats2);
+        let (_, a, b, t) = run();
         warm_allocs = warm_allocs.min(a);
         warm_bytes = warm_bytes.min(b);
         warm_t = warm_t.min(t);
     }
 
     println!("workload: {label}");
-    println!("  nodes = {}, clusters = {}", stats.nodes, n_clusters);
+    println!("  nodes = {}, clusters = {}", stats.nodes, stats.emitted);
     println!(
         "  cold: {:.3} allocs/node, {:.1} bytes/node, {:.0} ns/node ({} allocs total)",
         cold_allocs as f64 / nodes,

@@ -6,11 +6,12 @@
 //! and splits every point into the two phases of a mine:
 //!
 //! * **model build** — `Miner::new`, one `RWave^γ` model + hot table per gene;
-//! * **enumeration** — `mine_all_with` on a warmed [`MineWorkspace`], so the
-//!   number reflects the steady-state, allocation-free hot path.
+//! * **enumeration** — [`mine_prepared_to_sink`] at one thread on a warmed
+//!   [`Miner`] (the path `regcluster mine --threads 1` runs), so the number
+//!   reflects the steady-state, allocation-free hot path.
 //!
-//! Per-node nanoseconds (`enumerate_s / nodes`, nodes counted by a
-//! [`MiningStats`] observer) is the headline metric: it is what the bitset
+//! Per-node nanoseconds (`enumerate_s / nodes`, nodes counted by the run's
+//! [`MiningStats`]) is the headline metric: it is what the bitset
 //! refactors move, and it is far less noisy than wall-clock seconds because
 //! the node count is deterministic for a given input.
 //!
@@ -29,7 +30,10 @@
 //!   numbers). This is the only gate CI runs on shared hardware.
 
 use regcluster_bench::{time, write_json};
-use regcluster_core::{MineWorkspace, Miner, MiningParams, MiningStats, NoopObserver};
+use regcluster_core::{
+    finalize_clusters, mine_prepared_to_sink, EngineConfig, MineControl, Miner, MiningParams,
+    MiningStats, NoopObserver, RegCluster, VecSink,
+};
 use regcluster_datagen::{generate, SyntheticConfig};
 use serde::{Deserialize, Serialize};
 
@@ -49,7 +53,8 @@ struct HotpathPoint {
     n_genes: usize,
     /// `Miner::new` (RWave models + SoA hot tables), seconds.
     model_build_s: f64,
-    /// Warm-workspace `mine_all_with`, seconds (mean over repetitions).
+    /// 1-thread `mine_prepared_to_sink` on a warmed miner, seconds (mean
+    /// over repetitions).
     enumerate_s: f64,
     /// Enumeration-tree nodes entered (deterministic per input).
     nodes: usize,
@@ -110,8 +115,16 @@ fn load_baseline() -> Result<HotpathBaseline, String> {
     Ok(b)
 }
 
-/// One sweep point: build the miner (timed), warm the workspace, then
-/// average `reps` timed enumeration runs with a node-counting observer.
+/// One 1-thread engine run over every root of `miner`.
+fn enumerate(miner: &Miner<'_>, control: &MineControl) -> (Vec<RegCluster>, MiningStats) {
+    let sink = VecSink::new();
+    let report = mine_prepared_to_sink(miner, &EngineConfig::new(1), control, &NoopObserver, &sink)
+        .expect("enumeration succeeds");
+    (sink.into_clusters(), report.stats)
+}
+
+/// One sweep point: build the miner (timed), warm it with one run, then
+/// average `reps` timed enumeration runs.
 fn run_point(n_conds: usize, reps: usize) -> HotpathPoint {
     let cfg = SyntheticConfig {
         n_conds,
@@ -123,15 +136,17 @@ fn run_point(n_conds: usize, reps: usize) -> HotpathPoint {
         MiningParams::new(min_g, 6, MINING_GAMMA, MINING_EPSILON).expect("mining params valid");
     let (miner, model_build_s) =
         time(|| Miner::new(&data.matrix, &params).expect("params validate"));
-    let mut workspace = MineWorkspace::new();
-    // Warm-up: grows every scratch buffer to its high-water mark so the
-    // timed runs measure the allocation-free steady state.
-    let warm = miner.mine_all_with(&mut workspace, &mut NoopObserver);
+    let control = MineControl::new();
+    // Warm-up: grows every buffer the miner keeps between runs to its
+    // high-water mark so the timed runs measure the allocation-free steady
+    // state.
+    let (mut warm, _) = enumerate(&miner, &control);
+    finalize_clusters(&mut warm, &params);
     let mut enumerate_s = 0.0;
     let mut stats = MiningStats::default();
     for _ in 0..reps {
-        stats = MiningStats::default();
-        let (_, secs) = time(|| miner.mine_all_with(&mut workspace, &mut stats));
+        let ((_, run_stats), secs) = time(|| enumerate(&miner, &control));
+        stats = run_stats;
         enumerate_s += secs;
     }
     enumerate_s /= reps as f64;

@@ -21,7 +21,9 @@
 use regcluster_bench::{quick_mode, time, write_json, write_text};
 use regcluster_core::metrics::{MINE_EMITTED_METRIC, MINE_NODES_METRIC, MINE_PRUNED_METRIC};
 use regcluster_core::observer::PruneRule;
-use regcluster_core::{mine_with_observer, MetricsObserver, MiningParams};
+use regcluster_core::{
+    mine_prepared_to_sink, EngineConfig, MetricsObserver, MineControl, Miner, MiningParams, VecSink,
+};
 use regcluster_datagen::{yeast_like, YeastConfig};
 use regcluster_obs::MetricsRegistry;
 use serde::Serialize;
@@ -79,9 +81,14 @@ fn main() {
     for &(gamma, min_c) in &sweeps {
         // A fresh registry per run keeps each snapshot a single run's worth.
         let registry = MetricsRegistry::new();
-        let mut observer = MetricsObserver::register(&registry);
+        let observer = MetricsObserver::register(&registry);
         let params = MiningParams::new(20, min_c, gamma, 1.0).expect("valid parameters");
-        let (result, secs) = time(|| mine_with_observer(&data.matrix, &params, &mut observer));
+        let (result, secs) = time(|| {
+            let miner = Miner::new(&data.matrix, &params)?;
+            let config = EngineConfig::new(1);
+            let sink = VecSink::new();
+            mine_prepared_to_sink(&miner, &config, &MineControl::new(), &observer, &sink)
+        });
         let _ = result.expect("mining succeeds");
 
         let get = |name: &str, help: &str| registry.counter(name, help, &[]).get();

@@ -22,7 +22,8 @@ use std::thread::ThreadId;
 
 use regcluster_bench::{quick_mode, time, write_json};
 use regcluster_core::{
-    mine_engine_with, EngineConfig, MineControl, MiningParams, SplitStrategy, SyncMineObserver,
+    mine_prepared_to_sink, EngineConfig, MineControl, Miner, MiningParams, SplitStrategy,
+    SyncMineObserver, VecSink,
 };
 use regcluster_datagen::{generate, SyntheticConfig};
 use regcluster_matrix::ExpressionMatrix;
@@ -91,12 +92,15 @@ fn run_point(
     let mut max_share = 0.0f64;
     for _ in 0..reps {
         let observer = PerWorkerNodes::default();
-        let (report, secs) = time(|| {
-            mine_engine_with(m, params, &config, &MineControl::new(), &observer)
-                .expect("mining succeeds")
+        let (clusters, secs) = time(|| {
+            let miner = Miner::new(m, params).expect("valid parameters");
+            let sink = VecSink::new();
+            mine_prepared_to_sink(&miner, &config, &MineControl::new(), &observer, &sink)
+                .expect("mining succeeds");
+            sink.into_clusters()
         });
         total += secs;
-        n_clusters = report.clusters.len();
+        n_clusters = clusters.len();
         max_share = max_share.max(observer.shares().first().copied().unwrap_or(1.0));
     }
     Point {

@@ -6,9 +6,10 @@ use serde::{Deserialize, Serialize};
 
 use regcluster_core::{
     classify_roots, finalize_clusters, matrix_fingerprint, mine_prepared_roots_to_sink,
-    mine_prepared_to_sink, mine_prepared_to_sink_checkpointed, root_fingerprints, CheckpointPlan,
-    CheckpointReport, ClusterSink, EngineConfig, EngineReport, MetricsObserver, MineControl, Miner,
-    MiningParams, MiningStats, RegCluster, StreamReport, SyncMineObserver, VecSink,
+    mine_prepared_roots_to_sink_checkpointed, mine_prepared_to_sink, root_fingerprints,
+    CheckpointPlan, CheckpointReport, ClusterSink, EngineConfig, EngineReport, MetricsObserver,
+    MineControl, Miner, MiningParams, MiningStats, RegCluster, StreamReport, SyncMineObserver,
+    VecSink,
 };
 use regcluster_datagen::{generate, PlantedCluster};
 use regcluster_engines::{build_engine, EngineMetrics, EngineSpec};
@@ -975,7 +976,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             };
             let config = EngineConfig::new(*threads);
             // Building the RWave^γ models is its own phase, so enter the
-            // engine with a prepared miner instead of mine_engine_with.
+            // engine with a prepared miner.
             let miner = spans.time(&clock, "index_build", || Miner::new(&m, params))?;
 
             // Crash-safe runs: --checkpoint (or --resume, whose path then
@@ -999,8 +1000,9 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                             if let Some(ck) = resume_ck.clone() {
                                 plan = plan.with_resume(ck);
                             }
-                            Ok(mine_prepared_to_sink_checkpointed(
-                                &miner, &config, &control, &observer, sink, plan,
+                            let all_roots: Vec<usize> = (0..m.n_conditions()).collect();
+                            Ok(mine_prepared_roots_to_sink_checkpointed(
+                                &miner, &all_roots, &config, &control, &observer, sink, plan,
                             )?)
                         }
                         None => {
@@ -1716,7 +1718,7 @@ mod tests {
     }
 
     #[test]
-    fn baseline_subcommand_runs_each_algorithm() {
+    fn mine_engine_runs_each_baseline_algorithm() {
         let dir = tmpdir();
         let path = dir.join("baseline.tsv");
         // A matrix with a clear shifting family so pcluster finds something.
@@ -1738,10 +1740,10 @@ mod tests {
             "floc",
         ] {
             let cmd = parse_args(&sv(&[
-                "baseline",
+                "mine",
                 "--input",
                 path.to_str().unwrap(),
-                "--algorithm",
+                "--engine",
                 algo,
                 "--delta",
                 "0.2",
@@ -1756,10 +1758,10 @@ mod tests {
         }
         // pcluster specifically must find the 5-gene shifting family.
         let cmd = parse_args(&sv(&[
-            "baseline",
+            "mine",
             "--input",
             path.to_str().unwrap(),
-            "--algorithm",
+            "--engine",
             "pcluster",
             "--delta",
             "0.001",
@@ -1771,8 +1773,8 @@ mod tests {
         .unwrap();
         let out = run(&cmd).unwrap();
         assert!(out.contains("1 biclusters"), "{out}");
-        // Unknown algorithm is a parse error.
-        assert!(parse_args(&sv(&["baseline", "--input", "x", "--algorithm", "magic"])).is_err());
+        // Unknown engine is a parse error.
+        assert!(parse_args(&sv(&["mine", "--input", "x", "--engine", "magic"])).is_err());
     }
 
     #[test]

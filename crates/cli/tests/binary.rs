@@ -20,7 +20,9 @@ fn help_exits_zero_and_prints_usage() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("regcluster mine"));
-    assert!(text.contains("regcluster baseline"));
+    assert!(text.contains("--engine"));
+    // The removed `baseline` alias is not advertised.
+    assert!(!text.contains("regcluster baseline"));
 }
 
 #[test]
@@ -427,14 +429,12 @@ fn failpoints_env_var_reaches_the_binary() {
 }
 
 #[test]
-fn baseline_alias_warns_once_on_stderr_and_still_works() {
+fn removed_baseline_alias_is_an_unknown_command() {
     let dir = tmpdir();
-    let matrix = dir.join("baseline-warn.tsv");
+    let matrix = dir.join("baseline-gone.tsv");
     regcluster_matrix::io::write_matrix_file(&regcluster_datagen::running_example(), &matrix)
         .unwrap();
 
-    // The deprecated alias still runs, but stderr carries exactly one
-    // deprecation line pointing at the replacement.
     let out = bin()
         .args([
             "baseline",
@@ -445,30 +445,11 @@ fn baseline_alias_warns_once_on_stderr_and_still_works() {
         ])
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert_eq!(
-        err.matches("deprecated").count(),
-        1,
-        "exactly one deprecation line: {err}"
-    );
-    assert!(
-        err.contains("mine --engine"),
-        "points at replacement: {err}"
-    );
-
-    // The warning precedes parsing, so even a malformed baseline call
-    // carries it — still exactly once.
-    let out = bin().arg("baseline").output().unwrap();
     assert!(!out.status.success());
     let err = String::from_utf8(out.stderr).unwrap();
-    assert_eq!(err.matches("deprecated").count(), 1, "{err}");
+    assert!(err.contains("baseline"), "names the command: {err}");
 
-    // The replacement spelling is warning-free.
+    // The replacement spelling runs, warning-free.
     let out = bin()
         .args([
             "mine",
@@ -486,7 +467,7 @@ fn baseline_alias_warns_once_on_stderr_and_still_works() {
     );
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(
-        !err.contains("deprecated"),
+        !err.contains("warning"),
         "`mine --engine` must not warn: {err}"
     );
 }

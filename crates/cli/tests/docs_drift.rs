@@ -272,3 +272,62 @@ fn every_failpoint_site_is_documented_in_robustness_md() {
         "ROBUSTNESS.md must document the FAILPOINTS env var"
     );
 }
+
+#[test]
+fn no_doc_names_a_deleted_entry_point() {
+    // Core has one mining driver with four entry points (`mine` and the
+    // three `mine_prepared_*` functions). The sequential recursion, its
+    // workspace and observer trait, the collect-mode engine wrappers and
+    // the `baseline` CLI alias are gone; a doc naming one sends readers
+    // to an API that does not exist. CHANGES.md and ROADMAP.md are
+    // history and may name them.
+    const DELETED: [&str; 16] = [
+        "mine_with_observer",
+        "mine_containing",
+        "mine_parallel",
+        "mine_engine",
+        "mine_engine_with",
+        "mine_engine_checkpointed",
+        "mine_to_sink",
+        "mine_prepared_to_sink_checkpointed",
+        "mine_all",
+        "mine_all_with",
+        "mine_root",
+        "run_roots",
+        "MineReport",
+        "MineWorkspace",
+        "MineObserver",
+        "into_result",
+    ];
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut pages = vec![
+        "README.md".to_string(),
+        "DESIGN.md".to_string(),
+        "EXPERIMENTS.md".to_string(),
+        "CONTRIBUTING.md".to_string(),
+    ];
+    let docs_dir = format!("{}/../../docs", env!("CARGO_MANIFEST_DIR"));
+    for entry in std::fs::read_dir(&docs_dir).expect("docs/ exists") {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        if name.ends_with(".md") {
+            pages.push(format!("docs/{name}"));
+        }
+    }
+    for page in &pages {
+        let text = repo_doc(page);
+        for name in DELETED {
+            // Whole identifiers only: `SyncMineObserver` and the
+            // `mine_parallel_3000` bench group are not deleted names.
+            let hit = text.match_indices(name).any(|(at, _)| {
+                let before = text[..at].chars().next_back();
+                let after = text[at + name.len()..].chars().next();
+                !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+            });
+            assert!(!hit, "{page} names the deleted entry point `{name}`");
+        }
+        assert!(
+            !text.contains("regcluster baseline") && !text.contains("`baseline` subcommand"),
+            "{page} names the removed `baseline` CLI alias"
+        );
+    }
+}

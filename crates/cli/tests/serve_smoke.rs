@@ -321,8 +321,16 @@ fn overload_is_shed_with_503_and_recovers() {
     assert!(stalls.len() <= 2, "only worker + queue slot can absorb");
 
     // Recovery: release the stalled connections; the worker drains them
-    // (EOF, nothing counted) and normal service resumes.
-    drop(stalls);
+    // (EOF, nothing counted) and normal service resumes. Each one is
+    // half-closed and held until the server closes its end, so the probe
+    // below starts after the drain instead of racing it.
+    for mut stream in stalls {
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let _ = stream.read_to_end(&mut Vec::new());
+    }
     let (status, body) = get(port, "/health");
     assert_eq!(status, 200, "{body}");
 

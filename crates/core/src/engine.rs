@@ -1,39 +1,43 @@
-//! Work-stealing parallel mining engine.
+//! The work-stealing mining engine — the one driver of the enumeration.
 //!
 //! The engine decouples **enumeration** from **collection**. Enumeration is
 //! driven by a pool of workers sharing the representative-chain tree through
-//! a spill-based work-stealing scheme: every enumeration node is a `Task`
-//! (chain prefix + surviving members), each worker runs an ordinary
-//! depth-first traversal over its local LIFO deque, and when the local deque
-//! grows past [`EngineConfig::spill_threshold`] while other workers are
-//! starving, the *shallowest* pending subtrees are spilled from the front of
-//! the deque into a shared queue. This splits the tree at any depth — a
-//! single heavy root no longer serializes the run the way the old
-//! static-per-root split did ([`SplitStrategy::StaticRoots`] reproduces that
-//! behavior for comparison benchmarks).
+//! a spill-based work-stealing scheme: each worker runs an ordinary
+//! depth-first traversal over its local LIFO deque of pending nodes (chain
+//! prefix + surviving members), claiming the next unclaimed root whenever
+//! the deque runs dry. When the local deque grows past
+//! [`EngineConfig::spill_threshold`] while other workers are starving, the
+//! *shallowest* pending subtrees are spilled from the front of the deque
+//! into a shared queue that idle workers steal from once every root is
+//! claimed. This splits the tree at any depth — a single heavy root does
+//! not serialize the run ([`SplitStrategy::StaticRoots`] distributes whole
+//! roots only, for comparison benchmarks).
+//!
+//! The calling thread is always worker 0, so a 1-thread run spawns nothing
+//! and visits the tree in exactly the paper's depth-first order (Figure 5):
+//! roots in condition order, children in candidate order. [`mine`] is that
+//! run, collected and finalized.
 //!
 //! Collection goes through a [`ClusterSink`]: [`VecSink`] gathers everything
-//! for the deterministic collect path, [`CappedSink`] stops the run
-//! cooperatively after a fixed number of clusters, and [`StreamingSink`]
-//! forwards clusters over a bounded channel while mining is still in
-//! progress.
+//! for [`finalize_clusters`], [`CappedSink`] stops the run cooperatively
+//! after a fixed number of clusters, and [`StreamingSink`] forwards clusters
+//! over a bounded channel while mining is still in progress.
 //!
 //! # Determinism
 //!
-//! The collect path ([`mine_engine`]) is **bit-identical** to the sequential
-//! miner at every thread count, including under
+//! A complete run's finalized cluster set is **bit-identical** at every
+//! thread count, including under
 //! [`max_clusters`](crate::MiningParams::max_clusters):
 //!
-//! * node expansion is the shared `Miner::expand_node`, a pure function of
-//!   the node state, so sequential and parallel runs expand the same tree;
+//! * node expansion is `Miner::expand_node`, a pure function of the node
+//!   state, so every run expands the same tree;
 //! * duplicate elimination (pruning (3)(b) of the paper) is a first-arrival
 //!   race, but two nodes emitting the same `(chain, genes)` cluster
 //!   necessarily carry the same member state and therefore root *identical
 //!   subtrees* — whichever twin wins the race, the set of emitted clusters
 //!   and the multiset of observer events are invariant (see DESIGN.md §7.6);
-//! * the cap is applied by the internal `finalize` step to the
-//!   canonically-sorted full
-//!   result, making capped output a function of the cluster set alone.
+//! * the cap is applied by [`finalize_clusters`] to the canonically-sorted
+//!   full result, making capped output a function of the cluster set alone.
 //!
 //! Delivery *order* into a sink is nondeterministic across workers; only the
 //! final collected set is deterministic. Runs that stop early — through
@@ -44,18 +48,22 @@
 //! # Checkpointing
 //!
 //! A run given a [`CheckpointPlan`] can snapshot its enumeration frontier —
-//! the un-expanded subtree roots plus every cluster emitted so far — to a
+//! the unclaimed roots and un-expanded subtree roots, plus every cluster
+//! emitted so far — to a
 //! [`CheckpointSink`](crate::checkpoint::CheckpointSink), periodically and
 //! on every early shutdown (cancellation, deadline, sink stop, worker
 //! panic). On any stop, each worker *drains* its pending local nodes back
-//! to the shared queue, so after the workers park the queue is exactly the
-//! frontier. Periodic snapshots pause the run between enumeration "legs":
-//! workers park once the leg's deadline passes, the controlling thread
-//! snapshots, and a fresh leg resumes from the queue in the same call.
-//! Resuming a checkpoint later (see
-//! [`CheckpointPlan::with_resume`]) completes the run with the
-//! bit-identical collected cluster set an uninterrupted run produces — see
-//! `DESIGN.md` §10 and `crates/core/tests/checkpoint.rs`.
+//! to the shared queue, so after the workers park the unclaimed roots plus
+//! the queue are exactly the frontier. Periodic snapshots pause the run
+//! between enumeration "legs": workers park once the leg's deadline passes,
+//! the controlling thread snapshots, and a fresh leg resumes in the same
+//! call. Resuming a checkpoint later (see [`CheckpointPlan::with_resume`])
+//! completes the run with the bit-identical collected cluster set an
+//! uninterrupted run produces — see `DESIGN.md` §10 and
+//! `crates/core/tests/checkpoint.rs`.
+//!
+//! [`mine`]: crate::mine
+//! [`finalize_clusters`]: crate::finalize_clusters
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,17 +72,17 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use regcluster_matrix::{CondId, ExpressionMatrix};
+use regcluster_matrix::CondId;
 
 use crate::checkpoint::{
     matrix_fingerprint, CheckpointPlan, CheckpointReport, EngineCheckpoint, PendingMember,
     PendingNode,
 };
 use crate::intern::{ClusterView, EmittedSet};
-use crate::miner::{finalize, Dir, EmitOutcome, Member, Miner};
-use crate::observer::{MineObserver, MiningStats, NoopObserver, PruneRule, SyncMineObserver};
-use crate::scratch::{ChildBuf, NodeScratch};
-use crate::{CoreError, MiningParams, RegCluster};
+use crate::miner::{Dir, EmitOutcome, Member, Miner};
+use crate::observer::{MiningStats, SyncMineObserver, WorkerObserver};
+use crate::scratch::{NodeRef, RunBuffers, WorkerBufs};
+use crate::{CoreError, RegCluster};
 
 /// Default local-deque length above which a worker offers subtrees to idle
 /// peers. Small enough to feed starving workers quickly, large enough that a
@@ -94,8 +102,7 @@ pub enum SplitStrategy {
     /// Workers spill pending subtrees at any depth to idle peers (default).
     WorkStealing,
     /// Only whole root subtrees are distributed; no mid-tree splitting.
-    /// This reproduces the pre-engine `mine_parallel` behavior and exists
-    /// for benchmarking the work-stealing gain.
+    /// Exists for benchmarking the work-stealing gain.
     StaticRoots,
 }
 
@@ -160,8 +167,7 @@ impl Default for EngineConfig {
 /// thread keeps the original: [`cancel`](MineControl::cancel) stops the run
 /// at the next enumeration node, as does an expired
 /// [deadline](MineControl::with_deadline). A stopped run reports
-/// `truncated = true` and [`MineReport::into_result`] turns that into
-/// [`CoreError::Cancelled`].
+/// [`StreamReport::truncated`].
 #[derive(Debug, Clone, Default)]
 pub struct MineControl {
     inner: Arc<ControlInner>,
@@ -204,17 +210,18 @@ impl MineControl {
 
 /// Receiver for validated clusters from concurrent workers.
 ///
-/// Replaces the old hard-wired `Vec<RegCluster>` collection. Implementations
-/// must be [`Sync`]; `accept` is called once per *fresh* cluster (duplicates
-/// are eliminated before the sink) in nondeterministic cross-worker order.
+/// Implementations must be [`Sync`]; `accept` is called once per *fresh*
+/// cluster (duplicates are eliminated before the sink) in nondeterministic
+/// cross-worker order.
 pub trait ClusterSink: Sync {
     /// Delivers one cluster. Returning `false` asks the engine to stop
     /// enumerating — a cooperative early stop honored at node granularity.
     fn accept(&self, cluster: RegCluster) -> bool;
 }
 
-/// Collects every cluster; never stops the run. The engine's collect path
-/// drains it and finalizes for deterministic output.
+/// Collects every cluster; never stops the run. Drain it and pass the
+/// clusters to [`finalize_clusters`](crate::finalize_clusters) for
+/// deterministic output.
 #[derive(Debug, Default)]
 pub struct VecSink {
     clusters: Mutex<Vec<RegCluster>>,
@@ -243,9 +250,11 @@ impl ClusterSink for VecSink {
 
 /// Collects up to `cap` clusters, then stops the run cooperatively.
 ///
-/// *Which* clusters make the cut depends on worker scheduling; use the
-/// collect path with [`MiningParams::max_clusters`] when the capped subset
-/// must be deterministic.
+/// *Which* clusters make the cut depends on worker scheduling; collect
+/// everything and finalize under [`MiningParams::max_clusters`] when the
+/// capped subset must be deterministic.
+///
+/// [`MiningParams::max_clusters`]: crate::MiningParams::max_clusters
 #[derive(Debug)]
 pub struct CappedSink {
     cap: usize,
@@ -344,36 +353,7 @@ impl ClusterSink for StreamingSink {
     }
 }
 
-/// The outcome of a collect-mode engine run.
-#[derive(Debug, Clone)]
-pub struct MineReport {
-    /// The mined clusters, finalized (canonical order, `maximal_only`
-    /// filter, `max_clusters` cap). A partial set when `truncated`.
-    pub clusters: Vec<RegCluster>,
-    /// Merged per-worker search-effort counters. For complete runs these
-    /// equal a sequential run's totals (asserted by tests).
-    pub stats: MiningStats,
-    /// The run was stopped by [`MineControl`] before the tree was exhausted.
-    pub truncated: bool,
-}
-
-impl MineReport {
-    /// Treats truncation as an error: `Ok(clusters)` for a complete run,
-    /// [`CoreError::Cancelled`] otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Cancelled`] when the run was truncated.
-    pub fn into_result(self) -> Result<Vec<RegCluster>, CoreError> {
-        if self.truncated {
-            Err(CoreError::Cancelled)
-        } else {
-            Ok(self.clusters)
-        }
-    }
-}
-
-/// The outcome of a sink-mode engine run (the clusters went to the sink).
+/// The outcome of an engine run (the clusters went to the sink).
 #[derive(Debug, Clone)]
 pub struct StreamReport {
     /// Merged per-worker search-effort counters.
@@ -386,93 +366,22 @@ pub struct StreamReport {
     pub stopped_by_sink: bool,
 }
 
-/// Mines `matrix` with the work-stealing engine, collecting everything.
+/// Mines every root of `miner`, delivering every fresh cluster to `sink` as
+/// it is found.
 ///
-/// Bit-identical to [`mine`](crate::mine) at every thread count.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParams`] for invalid parameters or
-/// configuration and [`CoreError::WorkerPanic`] if a worker panicked.
-pub fn mine_engine(
-    matrix: &ExpressionMatrix,
-    params: &MiningParams,
-    config: &EngineConfig,
-) -> Result<MineReport, CoreError> {
-    mine_engine_with(matrix, params, config, &MineControl::new(), &NoopObserver)
-}
-
-/// Like [`mine_engine`], with a cancellation handle and a thread-safe
-/// observer receiving every enumeration event.
-///
-/// A run stopped through `control` returns `Ok` with
-/// [`MineReport::truncated`] set (use [`MineReport::into_result`] to treat
-/// that as [`CoreError::Cancelled`]); partial clusters and stats cover the
-/// subtrees completed before the stop.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParams`] for invalid parameters or
-/// configuration and [`CoreError::WorkerPanic`] if a worker or the observer
-/// panicked.
-pub fn mine_engine_with(
-    matrix: &ExpressionMatrix,
-    params: &MiningParams,
-    config: &EngineConfig,
-    control: &MineControl,
-    observer: &dyn SyncMineObserver,
-) -> Result<MineReport, CoreError> {
-    config.validate()?;
-    let miner = Miner::new(matrix, params)?;
-    let sink = VecSink::new();
-    let outcome = run(
-        &miner,
-        matrix.n_conditions(),
-        config,
-        control,
-        observer,
-        &sink,
-    )?;
-    let mut clusters = sink.into_clusters();
-    finalize(&mut clusters, params);
-    Ok(MineReport {
-        clusters,
-        stats: outcome.stats,
-        truncated: outcome.truncated,
-    })
-}
-
-/// Mines `matrix`, delivering every fresh cluster to `sink` as it is found.
-///
-/// The clusters reaching the sink are exactly the deduplicated emission set
-/// (for complete runs, the same set [`mine_engine`] collects) but **not**
-/// finalized: order is nondeterministic and neither `maximal_only` nor
-/// `max_clusters` from `params` is applied — capping is the sink's job
+/// The clusters reaching the sink are exactly the deduplicated emission
+/// set, but **not** finalized: order is nondeterministic across workers and
+/// neither `maximal_only` nor `max_clusters` from the parameters is
+/// applied — pass a complete run's clusters to
+/// [`finalize_clusters`](crate::finalize_clusters) for output bit-identical
+/// to [`mine`](crate::mine), or let the sink do the capping
 /// ([`CappedSink`]).
 ///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParams`] for invalid parameters or
-/// configuration and [`CoreError::WorkerPanic`] if a worker, the observer,
-/// or the sink panicked.
-pub fn mine_to_sink(
-    matrix: &ExpressionMatrix,
-    params: &MiningParams,
-    config: &EngineConfig,
-    control: &MineControl,
-    observer: &dyn SyncMineObserver,
-    sink: &dyn ClusterSink,
-) -> Result<StreamReport, CoreError> {
-    let miner = Miner::new(matrix, params)?;
-    mine_prepared_to_sink(&miner, config, control, observer, sink)
-}
-
-/// As [`mine_to_sink`], but running an already-constructed [`Miner`].
-///
 /// Building the `RWave^γ` models ([`Miner::new`]) is a distinct pipeline
-/// phase from the enumeration itself; callers that time or report the two
-/// separately (the CLI's phase spans, see `docs/OBSERVABILITY.md`)
-/// construct the miner themselves and enter here.
+/// phase from the enumeration itself, which is why this takes a prepared
+/// miner: callers that time or report the two separately (the CLI's phase
+/// spans, see `docs/OBSERVABILITY.md`) construct the miner themselves. A
+/// second run on the same miner reuses the first run's buffers.
 ///
 /// # Errors
 ///
@@ -486,13 +395,7 @@ pub fn mine_prepared_to_sink(
     observer: &dyn SyncMineObserver,
     sink: &dyn ClusterSink,
 ) -> Result<StreamReport, CoreError> {
-    config.validate()?;
-    let outcome = run(miner, miner.n_conditions(), config, control, observer, sink)?;
-    Ok(StreamReport {
-        stats: outcome.stats,
-        truncated: outcome.truncated,
-        stopped_by_sink: outcome.stopped_by_sink,
-    })
+    run(miner, None, config, control, observer, sink, None).map(|(report, _)| report)
 }
 
 /// As [`mine_prepared_to_sink`], but enumerating **only the subtrees rooted
@@ -520,52 +423,39 @@ pub fn mine_prepared_roots_to_sink(
     observer: &dyn SyncMineObserver,
     sink: &dyn ClusterSink,
 ) -> Result<StreamReport, CoreError> {
-    config.validate()?;
-    let n_roots = miner.n_conditions();
-    if let Some(&bad) = roots.iter().find(|&&r| r >= n_roots) {
-        return Err(CoreError::InvalidParams(format!(
-            "root condition {bad} out of range (matrix has {n_roots} conditions)"
-        )));
-    }
-    let mut subset: Vec<CondId> = roots.to_vec();
-    subset.sort_unstable();
-    subset.dedup();
-    let outcome = run_checkpointed(
-        miner,
-        n_roots,
-        Some(&subset),
-        config,
-        control,
-        observer,
-        sink,
-        None,
-    )
-    .map(|(outcome, _)| outcome)?;
-    Ok(StreamReport {
-        stats: outcome.stats,
-        truncated: outcome.truncated,
-        stopped_by_sink: outcome.stopped_by_sink,
-    })
+    let roots = root_subset(miner, roots)?;
+    run(miner, Some(&roots), config, control, observer, sink, None).map(|(report, _)| report)
 }
 
-/// As [`mine_prepared_roots_to_sink`], with crash-safety: the
-/// roots-subset analogue of [`mine_prepared_to_sink_checkpointed`],
-/// built for distributed workers mining a leased root range
-/// ([`partition_roots`](crate::partition_roots)) that must survive their
-/// own crashes.
+/// As [`mine_prepared_roots_to_sink`], with crash-safety: snapshots the
+/// enumeration frontier to the plan's
+/// [`CheckpointSink`](crate::checkpoint::CheckpointSink) periodically
+/// (when [`CheckpointPlan::every`] is set) and on every early shutdown,
+/// and optionally resumes an interrupted run from
+/// [`CheckpointPlan::resume`]. A checkpointed run of the whole tree passes
+/// every condition as `roots`; distributed workers pass their leased root
+/// range ([`partition_roots`](crate::partition_roots)).
 ///
-/// A fresh run seeds the frontier with exactly `roots` and checkpoints
-/// per the plan. A resumed run ignores `roots` and completes the
-/// checkpoint's pending frontier instead — the checkpoint *is* the
-/// remaining work, including roots that never left the queue. Callers
-/// holding per-lease checkpoints must therefore only resume a
-/// checkpoint taken for the **same** root subset (the cluster worker
-/// keys checkpoint files by lease range for exactly this reason).
+/// A fresh run seeds the frontier with exactly `roots`. A resumed run
+/// ignores `roots` and completes the checkpoint's pending frontier instead
+/// — the checkpoint *is* the remaining work, including roots that were
+/// never claimed. Callers holding per-lease checkpoints must therefore only
+/// resume a checkpoint taken for the **same** root subset (the cluster
+/// worker keys checkpoint files by lease range for exactly this reason).
+///
+/// Resuming first replays the checkpoint's emitted clusters into `sink`
+/// (so the sink receives the complete set) and then completes the pending
+/// frontier, yielding the cluster set an uninterrupted run yields. Stats
+/// cover only the work done by *this* call — resumed runs do not repeat the
+/// interrupted run's enumeration effort, which is the point.
 ///
 /// # Errors
 ///
-/// As [`mine_prepared_roots_to_sink`] and
-/// [`mine_prepared_to_sink_checkpointed`].
+/// As [`mine_prepared_roots_to_sink`], plus [`CoreError::Checkpoint`] when
+/// the resume checkpoint does not match this run or a snapshot cannot be
+/// persisted. A [`CoreError::WorkerPanic`] is returned after flushing a
+/// final checkpoint (best-effort) that still covers the panicking node's
+/// subtree.
 pub fn mine_prepared_roots_to_sink_checkpointed(
     miner: &Miner<'_>,
     roots: &[CondId],
@@ -575,165 +465,70 @@ pub fn mine_prepared_roots_to_sink_checkpointed(
     sink: &dyn ClusterSink,
     plan: CheckpointPlan<'_>,
 ) -> Result<(StreamReport, CheckpointReport), CoreError> {
-    config.validate()?;
+    let roots = root_subset(miner, roots)?;
+    run(
+        miner,
+        Some(&roots),
+        config,
+        control,
+        observer,
+        sink,
+        Some(plan),
+    )
+}
+
+/// Validates a caller's root list and puts it in condition order, once.
+fn root_subset(miner: &Miner<'_>, roots: &[CondId]) -> Result<Vec<CondId>, CoreError> {
     let n_roots = miner.n_conditions();
     if let Some(&bad) = roots.iter().find(|&&r| r >= n_roots) {
         return Err(CoreError::InvalidParams(format!(
             "root condition {bad} out of range (matrix has {n_roots} conditions)"
         )));
     }
-    let mut subset: Vec<CondId> = roots.to_vec();
+    let mut subset = roots.to_vec();
     subset.sort_unstable();
     subset.dedup();
-    let (outcome, report) = run_checkpointed(
-        miner,
-        n_roots,
-        Some(&subset),
-        config,
-        control,
-        observer,
-        sink,
-        Some(plan),
-    )?;
-    Ok((
-        StreamReport {
-            stats: outcome.stats,
-            truncated: outcome.truncated,
-            stopped_by_sink: outcome.stopped_by_sink,
-        },
-        report,
-    ))
+    Ok(subset)
 }
 
-/// As [`mine_prepared_to_sink`], with crash-safety: snapshots the
-/// enumeration frontier to the plan's
-/// [`CheckpointSink`](crate::checkpoint::CheckpointSink) periodically
-/// (when [`CheckpointPlan::every`] is set) and on every early shutdown,
-/// and optionally resumes an interrupted run from
-/// [`CheckpointPlan::resume`].
-///
-/// Resuming first replays the checkpoint's emitted clusters into `sink`
-/// (so the sink receives the complete set) and then completes the pending
-/// frontier. Stats cover only the work done by *this* call — resumed runs
-/// do not repeat the interrupted run's enumeration effort, which is the
-/// point.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParams`] for an invalid configuration,
-/// [`CoreError::Checkpoint`] when the resume checkpoint does not match
-/// this run or a snapshot cannot be persisted, and
-/// [`CoreError::WorkerPanic`] if a worker, the observer, or the sink
-/// panicked — after flushing a final checkpoint (best-effort) that still
-/// covers the panicking node's subtree.
-pub fn mine_prepared_to_sink_checkpointed(
-    miner: &Miner<'_>,
-    config: &EngineConfig,
-    control: &MineControl,
-    observer: &dyn SyncMineObserver,
-    sink: &dyn ClusterSink,
-    plan: CheckpointPlan<'_>,
-) -> Result<(StreamReport, CheckpointReport), CoreError> {
-    config.validate()?;
-    let (outcome, report) = run_checkpointed(
-        miner,
-        miner.n_conditions(),
-        None,
-        config,
-        control,
-        observer,
-        sink,
-        Some(plan),
-    )?;
-    Ok((
-        StreamReport {
-            stats: outcome.stats,
-            truncated: outcome.truncated,
-            stopped_by_sink: outcome.stopped_by_sink,
-        },
-        report,
-    ))
-}
-
-/// The checkpointed collect path: like
-/// [`mine_engine_with`] under a [`CheckpointPlan`].
-///
-/// A resumed run collects the checkpoint's emitted clusters plus
-/// everything the completed frontier yields, then finalizes — producing
-/// the **bit-identical** cluster set an uninterrupted [`mine_engine`] run
-/// returns (golden-tested across thread counts in
-/// `crates/core/tests/checkpoint.rs`).
-///
-/// # Errors
-///
-/// As [`mine_prepared_to_sink_checkpointed`].
-pub fn mine_engine_checkpointed(
-    matrix: &ExpressionMatrix,
-    params: &MiningParams,
-    config: &EngineConfig,
-    control: &MineControl,
-    observer: &dyn SyncMineObserver,
-    plan: CheckpointPlan<'_>,
-) -> Result<(MineReport, CheckpointReport), CoreError> {
-    config.validate()?;
-    let miner = Miner::new(matrix, params)?;
-    let sink = VecSink::new();
-    let (outcome, report) = run_checkpointed(
-        &miner,
-        matrix.n_conditions(),
-        None,
-        config,
-        control,
-        observer,
-        &sink,
-        Some(plan),
-    )?;
-    let mut clusters = sink.into_clusters();
-    finalize(&mut clusters, params);
-    Ok((
-        MineReport {
-            clusters,
-            stats: outcome.stats,
-            truncated: outcome.truncated,
-        },
-        report,
-    ))
-}
-
-/// One enumeration node awaiting expansion on the **shared** queue. Shared
-/// tasks own their data because they cross workers; a worker's local pending
-/// nodes are [`NodeRef`] ranges into its arenas instead.
+/// One enumeration node awaiting expansion on the **shared** queue: a
+/// spilled subtree, a resumed checkpoint's pending node, or a node pushed
+/// back by a stopping checkpointing run. Shared tasks own their data
+/// because they cross workers; a worker's local pending nodes are
+/// [`NodeRef`] ranges into its arenas, and unclaimed roots are just an
+/// index (see [`Shared::claim_root`]).
 struct Task {
     chain: Vec<CondId>,
     members: Vec<Member>,
 }
 
-/// A pending enumeration node local to one worker: ranges into the worker's
-/// chain and member arenas. See [`worker`] for the stack discipline that
-/// keeps the back-of-deque node's ranges topmost in both arenas, letting a
-/// pop reclaim its space with a plain `truncate`.
-#[derive(Debug, Clone, Copy)]
-struct NodeRef {
-    chain_start: usize,
-    chain_len: usize,
-    member_start: usize,
-    member_len: usize,
-}
-
-struct Outcome {
-    stats: MiningStats,
-    truncated: bool,
-    stopped_by_sink: bool,
+impl Task {
+    /// Materializes a worker-local pending node as an owned task.
+    fn of(node: NodeRef, chain_arena: &[CondId], member_arena: &[Member]) -> Task {
+        Task {
+            chain: chain_arena[node.chain_start..node.chain_start + node.chain_len].to_vec(),
+            members: member_arena[node.member_start..node.member_start + node.member_len].to_vec(),
+        }
+    }
 }
 
 /// State shared by all workers of one run.
 struct Shared<'e> {
-    /// Spilled subtrees available for stealing (plus the initial roots).
+    /// The roots still to claim, in order: `None` means every condition of
+    /// the matrix. Resumed runs have none — their frontier is the queue.
+    roots: Option<&'e [CondId]>,
+    n_roots: usize,
+    /// Index of the next unclaimed root. Claimed by a `Relaxed`
+    /// `fetch_add` — the index publishes no data, since roots and their
+    /// members are read from the immutable miner; values past `n_roots`
+    /// mean every root is claimed.
+    next_root: AtomicUsize,
+    /// Spilled subtrees available for stealing.
     queue: Mutex<VecDeque<Task>>,
     /// Signaled on spills, on termination and on stop requests.
     available: Condvar,
-    /// Live tasks: queued, local to a worker, or in expansion. Termination
-    /// is `outstanding == 0`.
+    /// Live tasks: unclaimed roots, queued, local to a worker, or in
+    /// expansion. Termination is `outstanding == 0`.
     outstanding: AtomicUsize,
     /// Workers currently blocked waiting for work — the spill heuristic.
     waiting: AtomicUsize,
@@ -746,7 +541,7 @@ struct Shared<'e> {
     /// Duplicate-elimination sets, sharded by root condition: clusters with
     /// different roots have different chains and can never collide, so
     /// cross-root emissions never contend on a lock.
-    emitted: Vec<Mutex<EmittedSet>>,
+    emitted: &'e [Mutex<EmittedSet>],
     /// Checkpointing runs only: every cluster delivered to (and kept by)
     /// the sink, in emission order. Snapshots copy it; resume seeds it.
     journal: Option<Mutex<Vec<RegCluster>>>,
@@ -779,27 +574,32 @@ impl Shared<'_> {
         drop(lock(&self.queue));
         self.available.notify_all();
     }
-}
 
-/// Per-worker bridge: accumulates lock-free [`MiningStats`] and forwards
-/// every event to the shared [`SyncMineObserver`].
-struct WorkerObserver<'a> {
-    stats: MiningStats,
-    user: &'a dyn SyncMineObserver,
-}
+    fn root(&self, i: usize) -> CondId {
+        self.roots.map_or(i, |roots| roots[i])
+    }
 
-impl MineObserver for WorkerObserver<'_> {
-    fn node_entered(&mut self, chain: &[CondId], n_p: usize, n_n: usize) {
-        MineObserver::node_entered(&mut self.stats, chain, n_p, n_n);
-        self.user.node_entered(chain, n_p, n_n);
+    /// Claims the next unclaimed root, if any. A claimed root keeps the
+    /// `outstanding` slot it has held since the run started.
+    fn claim_root(&self) -> Option<CondId> {
+        let i = self.next_root.fetch_add(1, Ordering::Relaxed);
+        (i < self.n_roots).then(|| self.root(i))
     }
-    fn pruned(&mut self, chain: &[CondId], rule: PruneRule) {
-        MineObserver::pruned(&mut self.stats, chain, rule);
-        self.user.pruned(chain, rule);
+
+    /// The roots no worker has claimed yet, in order.
+    fn unclaimed_roots(&self) -> impl Iterator<Item = CondId> + '_ {
+        let first = self.next_root.load(Ordering::Relaxed).min(self.n_roots);
+        (first..self.n_roots).map(|i| self.root(i))
     }
-    fn cluster_emitted(&mut self, cluster: &RegCluster) {
-        MineObserver::cluster_emitted(&mut self.stats, cluster);
-        self.user.cluster_emitted(cluster);
+
+    /// Records a worker panic (the first one wins) and stops the run.
+    fn record_panic(&self, payload: Box<dyn std::any::Any + Send>) {
+        let mut slot = lock(&self.panic_msg);
+        if slot.is_none() {
+            *slot = Some(panic_message(payload));
+        }
+        drop(slot);
+        self.request_stop();
     }
 }
 
@@ -811,18 +611,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-fn run(
-    miner: &Miner<'_>,
-    n_roots: usize,
-    config: &EngineConfig,
-    control: &MineControl,
-    observer: &dyn SyncMineObserver,
-    sink: &dyn ClusterSink,
-) -> Result<Outcome, CoreError> {
-    run_checkpointed(miner, n_roots, None, config, control, observer, sink, None)
-        .map(|(outcome, _)| outcome)
 }
 
 /// Refuses a resume checkpoint that does not belong to this run: different
@@ -871,24 +659,33 @@ fn validate_resume(miner: &Miner<'_>, ck: &EngineCheckpoint) -> Result<(), CoreE
     Ok(())
 }
 
-/// Snapshots the frontier (the shared queue, after workers drained into it)
-/// and the emission journal. Called between legs — no worker is running.
+fn pending_node(chain: Vec<CondId>, members: &[Member]) -> PendingNode {
+    PendingNode {
+        chain,
+        members: members
+            .iter()
+            .map(|m| PendingMember {
+                gene: m.gene,
+                forward: m.dir == Dir::Fwd,
+                denom_bits: m.denom.to_bits(),
+            })
+            .collect(),
+    }
+}
+
+/// Snapshots the frontier — the unclaimed roots, then the shared queue
+/// (after workers drained into it) — and the emission journal. Called
+/// between legs: no worker is running.
 fn snapshot(miner: &Miner<'_>, shared: &Shared<'_>, fingerprint: u64) -> EngineCheckpoint {
-    let pending = lock(&shared.queue)
-        .iter()
-        .map(|task| PendingNode {
-            chain: task.chain.clone(),
-            members: task
-                .members
-                .iter()
-                .map(|m| PendingMember {
-                    gene: m.gene,
-                    forward: m.dir == Dir::Fwd,
-                    denom_bits: m.denom.to_bits(),
-                })
-                .collect(),
-        })
+    let mut pending: Vec<PendingNode> = shared
+        .unclaimed_roots()
+        .map(|root| pending_node(vec![root], &miner.root_members(root)))
         .collect();
+    pending.extend(
+        lock(&shared.queue)
+            .iter()
+            .map(|task| pending_node(task.chain.clone(), &task.members)),
+    );
     let emitted = shared
         .journal
         .as_ref()
@@ -904,17 +701,44 @@ fn snapshot(miner: &Miner<'_>, shared: &Shared<'_>, fingerprint: u64) -> EngineC
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_checkpointed(
+/// Runs the engine over `roots` (`None`: every condition), lending the
+/// miner's warm buffers to the workers for the duration of the run.
+fn run(
     miner: &Miner<'_>,
-    n_roots: usize,
     roots: Option<&[CondId]>,
     config: &EngineConfig,
     control: &MineControl,
     observer: &dyn SyncMineObserver,
     sink: &dyn ClusterSink,
     plan: Option<CheckpointPlan<'_>>,
-) -> Result<(Outcome, CheckpointReport), CoreError> {
+) -> Result<(StreamReport, CheckpointReport), CoreError> {
+    config.validate()?;
+    let mut buffers = miner.take_buffers(config.threads);
+    let result = run_legs(
+        miner,
+        &mut buffers,
+        roots,
+        config,
+        control,
+        observer,
+        sink,
+        plan,
+    );
+    miner.return_buffers(buffers);
+    result
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run_legs(
+    miner: &Miner<'_>,
+    buffers: &mut RunBuffers,
+    roots: Option<&[CondId]>,
+    config: &EngineConfig,
+    control: &MineControl,
+    observer: &dyn SyncMineObserver,
+    sink: &dyn ClusterSink,
+    plan: Option<CheckpointPlan<'_>>,
+) -> Result<(StreamReport, CheckpointReport), CoreError> {
     let (ck_sink, every, resume) = match plan {
         Some(CheckpointPlan {
             sink,
@@ -925,67 +749,56 @@ fn run_checkpointed(
     };
     let checkpointing = ck_sink.is_some();
     let resumed = resume.is_some();
+    let RunBuffers { workers, shards } = buffers;
+    let workers = &mut workers[..config.threads];
 
-    // Seed the queue and the dedup shards: from the checkpoint when
-    // resuming (replaying its emitted clusters into the sink so the sink
-    // sees the complete set), from the roots otherwise.
-    let emitted_shards: Vec<Mutex<EmittedSet>> = (0..n_roots)
-        .map(|_| Mutex::new(EmittedSet::default()))
-        .collect();
+    // A resumed run's frontier is the checkpoint's pending nodes, queued
+    // in order; its emitted clusters seed the dedup shards and are
+    // replayed into the sink, so the sink sees the complete set. A fresh
+    // run's frontier is its roots, claimed by index as workers run dry.
+    let mut roots = roots;
     let mut initial: VecDeque<Task> = VecDeque::new();
     let mut journal_seed: Vec<RegCluster> = Vec::new();
-    match resume {
-        Some(ck) => {
-            validate_resume(miner, &ck)?;
-            for cluster in &ck.emitted {
-                let genes = cluster.genes();
-                let view = ClusterView {
-                    chain: &cluster.chain,
-                    p_members: &cluster.p_members,
-                    n_members: &cluster.n_members,
-                    genes: &genes,
-                };
-                let fingerprint = view.fingerprint();
-                lock(&emitted_shards[cluster.chain[0]]).insert(fingerprint, &view);
-                // Replay delivery; refusal is ignored — a resumed sink that
-                // wants to stop does so at the first fresh emission.
-                let _ = sink.accept(cluster.clone());
-            }
-            journal_seed = ck.emitted;
-            for node in ck.pending {
-                initial.push_back(Task {
-                    chain: node.chain,
-                    members: node
-                        .members
-                        .iter()
-                        .map(|m| Member {
-                            gene: m.gene,
-                            dir: if m.forward { Dir::Fwd } else { Dir::Bwd },
-                            denom: f64::from_bits(m.denom_bits),
-                        })
-                        .collect(),
-                });
-            }
-        }
-        None => {
-            // A roots subset (delta mining) seeds only the dirty subtrees;
-            // the dedup shards stay sized n_roots so `chain[0]` indexing
-            // holds either way.
-            let mut seed = |root: CondId| {
-                initial.push_back(Task {
-                    chain: vec![root],
-                    members: miner.root_members(root),
-                });
+    if let Some(ck) = resume {
+        validate_resume(miner, &ck)?;
+        for cluster in &ck.emitted {
+            let genes = cluster.genes();
+            let view = ClusterView {
+                chain: &cluster.chain,
+                p_members: &cluster.p_members,
+                n_members: &cluster.n_members,
+                genes: &genes,
             };
-            match roots {
-                Some(subset) => subset.iter().copied().for_each(&mut seed),
-                None => (0..n_roots).for_each(&mut seed),
-            }
+            let fingerprint = view.fingerprint();
+            lock(&shards[cluster.chain[0]]).insert(fingerprint, &view);
+            // Replay delivery; refusal is ignored — a resumed sink that
+            // wants to stop does so at the first fresh emission.
+            let _ = sink.accept(cluster.clone());
         }
+        journal_seed = ck.emitted;
+        initial.extend(ck.pending.into_iter().map(|node| {
+            Task {
+                chain: node.chain,
+                members: node
+                    .members
+                    .iter()
+                    .map(|m| Member {
+                        gene: m.gene,
+                        dir: if m.forward { Dir::Fwd } else { Dir::Bwd },
+                        denom: f64::from_bits(m.denom_bits),
+                    })
+                    .collect(),
+            }
+        }));
+        roots = Some(&[]);
     }
+    let n_roots = roots.map_or(miner.n_conditions(), <[CondId]>::len);
 
-    let outstanding = initial.len();
+    let outstanding = n_roots + initial.len();
     let mut shared = Shared {
+        roots,
+        n_roots,
+        next_root: AtomicUsize::new(0),
         queue: Mutex::new(initial),
         available: Condvar::new(),
         outstanding: AtomicUsize::new(outstanding),
@@ -994,7 +807,7 @@ fn run_checkpointed(
         truncated: AtomicBool::new(false),
         stopped_by_sink: AtomicBool::new(false),
         panic_msg: Mutex::new(None),
-        emitted: emitted_shards,
+        emitted: shards,
         journal: checkpointing.then(|| Mutex::new(journal_seed)),
         paused: AtomicBool::new(false),
         pause_at: None,
@@ -1018,34 +831,12 @@ fn run_checkpointed(
     // Each iteration is one enumeration leg. Legs after the first occur
     // only for periodic checkpoints: the paused leg's workers drained the
     // frontier into the queue, the snapshot was taken, and the next leg
-    // resumes from the queue.
-    let outcome = loop {
+    // resumes from the unclaimed roots and the queue.
+    let report = loop {
         shared.stop.store(false, Ordering::Release);
         shared.paused.store(false, Ordering::Release);
         shared.pause_at = every.and_then(|d| Instant::now().checked_add(d));
-        std::thread::scope(|scope| {
-            let shared = &shared;
-            let mut handles = Vec::with_capacity(config.threads);
-            for _ in 0..config.threads {
-                handles.push(scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| worker(miner, n_roots, shared)))
-                        .unwrap_or_else(|payload| {
-                            let mut slot = lock(&shared.panic_msg);
-                            if slot.is_none() {
-                                *slot = Some(panic_message(payload));
-                            }
-                            drop(slot);
-                            shared.request_stop();
-                            MiningStats::default()
-                        })
-                }));
-            }
-            for handle in handles {
-                if let Ok(worker_stats) = handle.join() {
-                    stats.merge(&worker_stats);
-                }
-            }
-        });
+        run_leg(miner, &shared, workers, &mut stats);
 
         if let Some(msg) = lock(&shared.panic_msg).take() {
             // Best-effort final checkpoint: the panic is the primary error
@@ -1071,14 +862,14 @@ fn run_checkpointed(
                 continue;
             }
         }
-        break Outcome {
+        break StreamReport {
             stats: std::mem::take(&mut stats),
             truncated,
             stopped_by_sink,
         };
     };
     Ok((
-        outcome,
+        report,
         CheckpointReport {
             resumed,
             checkpoints_written,
@@ -1086,8 +877,46 @@ fn run_checkpointed(
     ))
 }
 
-/// The worker loop: depth-first over the local deque, stealing from the
-/// shared queue when the deque runs dry, spilling to it when peers starve.
+/// Runs one enumeration leg with one worker per buffer set. The calling
+/// thread is always worker 0, so a 1-thread leg enters no thread scope and
+/// spawns nothing. A panic escaping a worker is recorded and stops the run.
+fn run_leg(
+    miner: &Miner<'_>,
+    shared: &Shared<'_>,
+    workers: &mut [WorkerBufs],
+    stats: &mut MiningStats,
+) {
+    let run_worker = |bufs: &mut WorkerBufs| {
+        catch_unwind(AssertUnwindSafe(|| worker(miner, shared, bufs))).unwrap_or_else(|payload| {
+            shared.record_panic(payload);
+            MiningStats::default()
+        })
+    };
+    let (first, rest) = workers
+        .split_first_mut()
+        .expect("a validated config has at least one worker");
+    if rest.is_empty() {
+        stats.merge(&run_worker(first));
+        return;
+    }
+    std::thread::scope(|scope| {
+        let run_worker = &run_worker;
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .map(|bufs| scope.spawn(move || run_worker(bufs)))
+            .collect();
+        stats.merge(&run_worker(first));
+        for handle in handles {
+            if let Ok(worker_stats) = handle.join() {
+                stats.merge(&worker_stats);
+            }
+        }
+    });
+}
+
+/// The worker loop: depth-first over the local deque; when it runs dry the
+/// worker claims the next unclaimed root, and once every root is claimed it
+/// steals from the shared queue. It spills to that queue when peers starve.
 ///
 /// # Steady-state allocation freedom
 ///
@@ -1099,36 +928,33 @@ fn run_checkpointed(
 /// appends children in *reverse* child order so the next node to pop (the
 /// first child — depth-first order) is again topmost. Nodes spilled from the
 /// *front* of the deque leave dead ranges at the arena bottom; those are
-/// reclaimed wholesale (`clear`) whenever the deque runs empty and the
-/// worker turns to stealing. With warmed buffers the loop allocates only
+/// reclaimed wholesale (`clear`) whenever the deque runs empty. A claimed
+/// root's members are written straight into the current-node buffer. With
+/// warmed buffers (see [`Miner`]'s buffer pool) the loop allocates only
 /// when spilling (owned tasks must cross threads) and when emitting a fresh
 /// cluster.
-fn worker(miner: &Miner<'_>, n_conds: usize, shared: &Shared<'_>) -> MiningStats {
+fn worker(miner: &Miner<'_>, shared: &Shared<'_>, bufs: &mut WorkerBufs) -> MiningStats {
+    bufs.reset(miner.n_conditions());
+    let WorkerBufs {
+        scratch,
+        children,
+        chain,
+        members,
+        chain_backup,
+        chain_arena,
+        member_arena,
+        local,
+    } = bufs;
     let mut observer = WorkerObserver {
         stats: MiningStats::default(),
         user: shared.observer,
     };
-    let mut scratch = NodeScratch::with_conds(n_conds);
-    let mut children = ChildBuf::default();
-    // The node currently being expanded.
-    let mut chain: Vec<CondId> = Vec::new();
-    let mut members: Vec<Member> = Vec::new();
-    // Pristine pre-expansion copy of `chain`, maintained only on
-    // checkpointing runs: `expand_node` mutates `chain` in place, so a
-    // panicking expansion (or a sink-initiated stop, which discards the
-    // children) restores the node for the frontier from this buffer.
-    // Reused across nodes — no steady-state allocation.
-    let mut chain_backup: Vec<CondId> = Vec::new();
-    // Pending local nodes: ranges into the arenas, addressed by the deque.
-    let mut chain_arena: Vec<CondId> = Vec::new();
-    let mut member_arena: Vec<Member> = Vec::new();
-    let mut local: VecDeque<NodeRef> = VecDeque::new();
     loop {
         if shared.stop.load(Ordering::Acquire) {
             // A stopping checkpointing run must not lose this worker's
             // pending subtrees: they move to the shared queue, which
             // becomes the snapshot frontier once every worker has parked.
-            drain_local(shared, &mut local, &chain_arena, &member_arena);
+            drain_local(shared, local, chain_arena, member_arena);
             break;
         }
         if let Some(node) = local.pop_back() {
@@ -1144,44 +970,48 @@ fn worker(miner: &Miner<'_>, n_conds: usize, shared: &Shared<'_>) -> MiningStats
             chain_arena.truncate(node.chain_start);
             member_arena.truncate(node.member_start);
         } else {
-            let Some(task) = steal_or_wait(shared) else {
-                break;
-            };
             // The deque is empty, so anything left in the arenas is dead
             // ranges from spilled nodes — reclaim everything.
             chain_arena.clear();
             member_arena.clear();
             chain.clear();
-            chain.extend_from_slice(&task.chain);
-            members.clear();
-            members.extend_from_slice(&task.members);
+            if let Some(root) = shared.claim_root() {
+                chain.push(root);
+                miner.root_members_into(root, members);
+            } else {
+                let Some(task) = steal_or_wait(shared) else {
+                    break;
+                };
+                chain.extend_from_slice(&task.chain);
+                members.clear();
+                members.extend_from_slice(&task.members);
+            }
         }
         // Cancellation and deadline are honored at enumeration-node
         // granularity: cheap enough to check per node, fine-grained enough
         // that even a single heavy subtree stops promptly.
         if shared.control.is_cancelled() {
             shared.truncated.store(true, Ordering::Release);
-            // The popped node was not expanded: back to the queue it goes
-            // (it still holds its `outstanding` slot), so a checkpoint
-            // resumes from it. The loop-top stop check drains the rest.
-            push_back_current(shared, &chain, &members);
+            // The node was not expanded: back to the queue it goes (it
+            // still holds its `outstanding` slot), so a checkpoint resumes
+            // from it. The loop-top stop check drains the rest.
+            push_back_current(shared, chain, members);
             shared.request_stop();
             continue;
         }
         if shared.checkpointing {
             chain_backup.clear();
-            chain_backup.extend_from_slice(&chain);
+            chain_backup.extend_from_slice(chain);
         }
         let expansion = catch_unwind(AssertUnwindSafe(|| {
             // Fault-injection site for worker-crash drills
             // (`FAILPOINTS=engine::worker=panic@N`).
             regcluster_failpoint::trigger("engine::worker");
             miner.expand_node(
-                &mut chain,
-                &members,
-                None,
-                &mut scratch,
-                &mut children,
+                chain,
+                members,
+                scratch,
+                children,
                 &mut observer,
                 &mut |view, obs| {
                     // The fingerprint is computed outside the shard lock; the
@@ -1223,13 +1053,8 @@ fn worker(miner: &Miner<'_>, n_conds: usize, shared: &Shared<'_>) -> MiningStats
                 // Contain the panic at node granularity: record it, restore
                 // the node it consumed (so the final checkpoint still covers
                 // its subtree), and shut the run down.
-                let mut slot = lock(&shared.panic_msg);
-                if slot.is_none() {
-                    *slot = Some(panic_message(payload));
-                }
-                drop(slot);
-                push_back_current(shared, &chain_backup, &members);
-                shared.request_stop();
+                push_back_current(shared, chain_backup, members);
+                shared.record_panic(payload);
                 continue;
             }
         };
@@ -1244,7 +1069,7 @@ fn worker(miner: &Miner<'_>, n_conds: usize, shared: &Shared<'_>) -> MiningStats
             // The stop abandoned this node's children before they were
             // materialized; restore the pre-expansion node so a checkpoint
             // re-expands it on resume.
-            push_back_current(shared, &chain_backup, &members);
+            push_back_current(shared, chain_backup, members);
             shared.request_stop();
             continue;
         }
@@ -1260,7 +1085,7 @@ fn worker(miner: &Miner<'_>, n_conds: usize, shared: &Shared<'_>) -> MiningStats
             // topmost, upholding the pop invariant.
             for &child in children.index.iter().rev() {
                 let chain_start = chain_arena.len();
-                chain_arena.extend_from_slice(&chain);
+                chain_arena.extend_from_slice(chain);
                 chain_arena.push(child.cond);
                 let member_start = member_arena.len();
                 member_arena.extend_from_slice(children.members_of(child));
@@ -1271,7 +1096,7 @@ fn worker(miner: &Miner<'_>, n_conds: usize, shared: &Shared<'_>) -> MiningStats
                     member_len: child.len as usize,
                 });
             }
-            maybe_spill(shared, &mut local, &chain_arena, &member_arena);
+            maybe_spill(shared, local, chain_arena, member_arena);
         }
         finish_task(shared);
         // Periodic checkpoints: once the leg deadline passes, ask everyone
@@ -1306,10 +1131,10 @@ fn push_back_current(shared: &Shared<'_>, chain: &[CondId], members: &[Member]) 
 }
 
 /// Moves every pending local node to the shared queue when a checkpointing
-/// run stops: once all workers park, the queue holds the complete
-/// enumeration frontier for the snapshot. Each node keeps its
+/// run stops: once all workers park, the unclaimed roots plus the queue are
+/// the complete enumeration frontier for the snapshot. Each node keeps its
 /// `outstanding` slot. Non-checkpointing runs skip this — their stop paths
-/// simply abandon pending work, as before.
+/// simply abandon pending work.
 fn drain_local(
     shared: &Shared<'_>,
     local: &mut VecDeque<NodeRef>,
@@ -1320,12 +1145,11 @@ fn drain_local(
         return;
     }
     let mut queue = lock(&shared.queue);
-    while let Some(node) = local.pop_front() {
-        queue.push_back(Task {
-            chain: chain_arena[node.chain_start..node.chain_start + node.chain_len].to_vec(),
-            members: member_arena[node.member_start..node.member_start + node.member_len].to_vec(),
-        });
-    }
+    queue.extend(
+        local
+            .drain(..)
+            .map(|node| Task::of(node, chain_arena, member_arena)),
+    );
 }
 
 /// Retires one task; the last retirement wakes every waiter for shutdown.
@@ -1360,24 +1184,17 @@ fn maybe_spill(
         return;
     }
     let surplus = local.len() - shared.spill_threshold;
-    {
-        let mut queue = lock(&shared.queue);
-        for _ in 0..surplus {
-            if let Some(node) = local.pop_front() {
-                queue.push_back(Task {
-                    chain: chain_arena[node.chain_start..node.chain_start + node.chain_len]
-                        .to_vec(),
-                    members: member_arena[node.member_start..node.member_start + node.member_len]
-                        .to_vec(),
-                });
-            }
-        }
-    }
+    lock(&shared.queue).extend(
+        local
+            .drain(..surplus)
+            .map(|node| Task::of(node, chain_arena, member_arena)),
+    );
     shared.available.notify_all();
 }
 
 /// Pops from the shared queue, blocking until work appears, the run
-/// terminates (`outstanding == 0`), or a stop is requested.
+/// terminates (`outstanding == 0`), or a stop is requested. Only called
+/// once every root is claimed, so the queue is the only source of work.
 fn steal_or_wait(shared: &Shared<'_>) -> Option<Task> {
     let mut queue = lock(&shared.queue);
     loop {
@@ -1466,21 +1283,5 @@ mod tests {
         assert_eq!(rx.recv().unwrap().chain, vec![0, 1]);
         drop(rx);
         assert!(!sink.accept(cluster(vec![1, 2])));
-    }
-
-    #[test]
-    fn report_into_result_maps_truncation_to_cancelled() {
-        let complete = MineReport {
-            clusters: vec![cluster(vec![0, 1])],
-            stats: MiningStats::default(),
-            truncated: false,
-        };
-        assert_eq!(complete.into_result().unwrap().len(), 1);
-        let truncated = MineReport {
-            clusters: Vec::new(),
-            stats: MiningStats::default(),
-            truncated: true,
-        };
-        assert_eq!(truncated.into_result(), Err(CoreError::Cancelled));
     }
 }

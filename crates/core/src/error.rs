@@ -5,12 +5,6 @@ use std::fmt;
 pub enum CoreError {
     /// A mining parameter is out of its valid domain.
     InvalidParams(String),
-    /// The run was stopped before completion — by [`cancel`], by an expired
-    /// deadline, or by a sink refusing further clusters. Partial results are
-    /// available through the run's report when this matters.
-    ///
-    /// [`cancel`]: crate::engine::MineControl::cancel
-    Cancelled,
     /// A worker thread panicked; the message is the captured panic payload.
     /// The panic is contained — no other worker's results are lost — but the
     /// run's output is discarded because the panicking subtree is
@@ -36,7 +30,6 @@ impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoreError::InvalidParams(msg) => write!(f, "invalid mining parameters: {msg}"),
-            CoreError::Cancelled => write!(f, "mining run cancelled before completion"),
             CoreError::WorkerPanic(msg) => write!(f, "mining worker panicked: {msg}"),
             CoreError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
             CoreError::Delta(msg) => write!(f, "delta mining error: {msg}"),

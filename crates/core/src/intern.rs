@@ -52,8 +52,8 @@ impl ClusterView<'_> {
 
     /// 64-bit fingerprint of the dedup identity `(chain, genes)`.
     ///
-    /// Deterministic (no per-process seed) so engine shards agree with
-    /// sequential runs; collisions are resolved exactly by [`EmittedSet`],
+    /// Deterministic (no per-process seed) so runs agree at every thread
+    /// count; collisions are resolved exactly by [`EmittedSet`],
     /// so distribution quality only affects speed, not correctness.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0x51_7C_C1_B7_27_22_0A_95;
@@ -119,6 +119,12 @@ impl EmittedSet {
         };
         self.buckets.entry(fingerprint).or_default().push(key);
         true
+    }
+
+    /// Forgets every identity, keeping the allocated capacity for reuse.
+    pub fn clear(&mut self) {
+        self.buckets.clear();
+        self.arena.clear();
     }
 
     /// Number of interned identities.

@@ -12,7 +12,7 @@ use regcluster_matrix::CondId;
 use regcluster_obs::{Clock, Counter, Histogram, MetricsRegistry, MonotonicClock};
 
 use crate::cluster::RegCluster;
-use crate::observer::{MineObserver, PruneRule, SyncMineObserver};
+use crate::observer::{PruneRule, SyncMineObserver};
 
 /// Name of the nodes-entered counter.
 pub const MINE_NODES_METRIC: &str = "regcluster_mine_nodes_total";
@@ -35,10 +35,8 @@ const LATENCY_BOUNDS: [f64; 10] = [0.0001, 0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 15.0
 
 /// An observer recording enumeration events into registry instruments.
 ///
-/// Works with both dispatch paths: it implements [`MineObserver`] for the
-/// sequential miner and [`SyncMineObserver`] for the work-stealing engine
-/// (all instrument cells are atomics, so concurrent workers reporting
-/// through one instance lose nothing).
+/// All instrument cells are atomics, so concurrent engine workers reporting
+/// through one instance lose nothing.
 ///
 /// Handles are resolved once, at [`register`](MetricsObserver::register)
 /// time. The clock is generic so tests can drive time by hand
@@ -137,18 +135,6 @@ impl<C: Clock + Sync> SyncMineObserver for MetricsObserver<C> {
     }
 }
 
-impl<C: Clock + Sync> MineObserver for MetricsObserver<C> {
-    fn node_entered(&mut self, chain: &[CondId], _n_p: usize, _n_n: usize) {
-        self.record_node(chain);
-    }
-    fn pruned(&mut self, _chain: &[CondId], rule: PruneRule) {
-        self.record_pruned(rule);
-    }
-    fn cluster_emitted(&mut self, _cluster: &RegCluster) {
-        self.record_emitted();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,22 +218,5 @@ mod tests {
         );
         assert_eq!(h.count(), 1);
         assert!((h.sum() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mut_and_sync_paths_share_cells() {
-        let registry = MetricsRegistry::new();
-        let mut observer = MetricsObserver::with_clock(&registry, ManualClock::new());
-        MineObserver::node_entered(&mut observer, &[1], 1, 0);
-        SyncMineObserver::node_entered(&observer, &[1, 2], 1, 0);
-        assert_eq!(
-            counter(
-                &registry,
-                MINE_NODES_METRIC,
-                "Enumeration-tree nodes entered (partial representative chains expanded).",
-                None
-            ),
-            2
-        );
     }
 }

@@ -29,13 +29,16 @@
 //! candidates: a candidate supported solely by n-members leads to a node
 //! with zero p-members, which (3)(a) prunes immediately.
 
+use std::sync::{Mutex, PoisonError};
+
 use regcluster_matrix::{CondId, ExpressionMatrix, GeneId};
 
 use crate::coherence::maximal_windows_into;
-use crate::intern::{ClusterView, EmittedSet};
-use crate::observer::{MineObserver, NoopObserver, PruneRule};
+use crate::engine::{mine_prepared_to_sink, EngineConfig, MineControl, VecSink};
+use crate::intern::ClusterView;
+use crate::observer::{NoopObserver, PruneRule, WorkerObserver};
 use crate::rwave::RWaveModel;
-use crate::scratch::{ChildBuf, MineWorkspace, NodeScratch};
+use crate::scratch::{ChildBuf, NodeScratch, RunBuffers};
 use crate::tables::HotTables;
 use crate::{CoreError, MiningParams, RegCluster};
 
@@ -75,8 +78,8 @@ pub(crate) struct MemberCtx {
 ///
 /// The receiver sees a borrowed [`ClusterView`] and is responsible for
 /// duplicate elimination; a fresh view is materialized into a
-/// [`RegCluster`] exactly once, by the receiver, which also reports
-/// [`MineObserver::cluster_emitted`] for it.
+/// [`RegCluster`] exactly once, by the receiver, which also reports it
+/// emitted to the observer.
 pub(crate) enum EmitOutcome {
     /// First sighting; the subtree continues.
     Fresh,
@@ -88,8 +91,13 @@ pub(crate) enum EmitOutcome {
     Duplicate,
 }
 
-/// Reusable mining engine: builds the per-gene `RWave^γ` models once and can
-/// then mine from all roots (sequentially or in parallel).
+/// Reusable mining state: builds the per-gene `RWave^γ` models once; the
+/// [`engine`](crate::engine) then mines from all roots, or from any subset,
+/// at any thread count.
+///
+/// The miner also keeps the engine workers' buffers and the dedup shards
+/// between runs, so a second run on the same miner starts warm and
+/// allocates only for the clusters it emits.
 pub struct Miner<'a> {
     matrix: &'a ExpressionMatrix,
     params: &'a MiningParams,
@@ -97,16 +105,9 @@ pub struct Miner<'a> {
     /// Flat struct-of-arrays projection of `models` for the hot path (see
     /// [`HotTables`]); rebuilt with the models, never mutated afterwards.
     tables: HotTables,
-}
-
-/// Per-run mutable state threaded through the recursion.
-struct RunState<'o> {
-    out: Vec<RegCluster>,
-    emitted: EmittedSet,
-    observer: &'o mut dyn MineObserver,
-    /// Query mining: abandon any node that loses this gene (sound because
-    /// member sets only shrink along a path).
-    required: Option<GeneId>,
+    /// Warm per-run buffers, lent to one run at a time (see
+    /// [`take_buffers`](Self::take_buffers)).
+    buffers: Mutex<RunBuffers>,
 }
 
 impl<'a> Miner<'a> {
@@ -130,6 +131,7 @@ impl<'a> Miner<'a> {
             params,
             models,
             tables,
+            buffers: Mutex::default(),
         })
     }
 
@@ -154,96 +156,37 @@ impl<'a> Miner<'a> {
         self.matrix.n_conditions()
     }
 
-    /// Mines every representative regulation chain rooted at every
-    /// condition, in condition order, reporting events to `observer`.
-    ///
-    /// The result is sorted canonically (by chain, then members) so that
-    /// sequential and parallel runs compare equal. With `max_clusters` set,
-    /// the cap keeps the canonically-first clusters of the full result —
-    /// deterministic and identical across sequential and parallel runs. For
-    /// a cooperative early stop instead, mine through the engine with a
-    /// [`CappedSink`](crate::engine::CappedSink).
-    pub fn mine_all(&self, observer: &mut dyn MineObserver) -> Vec<RegCluster> {
-        self.mine_all_with(&mut MineWorkspace::new(), observer)
-    }
-
-    /// Like [`mine_all`](Self::mine_all), drawing all per-node working
-    /// memory from `workspace`.
-    ///
-    /// The workspace buffers grow to their high-water marks during the first
-    /// run and are reused afterwards, so repeated runs on a warmed workspace
-    /// perform **zero heap allocations per enumeration node** — they
-    /// allocate only for the clusters they emit (asserted by the allocation
-    /// regression tests).
-    pub fn mine_all_with(
-        &self,
-        workspace: &mut MineWorkspace,
-        observer: &mut dyn MineObserver,
-    ) -> Vec<RegCluster> {
-        let mut out = self.run_roots(workspace, observer, None, 0..self.matrix.n_conditions());
-        finalize(&mut out, self.params);
-        out
-    }
-
-    /// Query mining: only clusters containing `gene` are produced, with the
-    /// search pruned the moment a subtree loses that gene — typically far
-    /// cheaper than full mining plus filtering when the gene's profile is
-    /// selective.
-    ///
-    /// The result equals `mine_all` filtered to clusters containing `gene`
-    /// (asserted by tests).
-    pub fn mine_containing(
-        &self,
-        gene: GeneId,
-        observer: &mut dyn MineObserver,
-    ) -> Vec<RegCluster> {
-        let mut out = self.run_roots(
-            &mut MineWorkspace::new(),
-            observer,
-            Some(gene),
-            0..self.matrix.n_conditions(),
-        );
-        finalize(&mut out, self.params);
-        out
-    }
-
-    /// Mines only the subtree rooted at condition `root`. Used by the
-    /// parallel driver; results are **not** post-filtered or sorted.
-    pub fn mine_root(&self, root: CondId, observer: &mut dyn MineObserver) -> Vec<RegCluster> {
-        self.run_roots(&mut MineWorkspace::new(), observer, None, root..root + 1)
-    }
-
-    /// Runs the depth-first enumeration over the given roots, collecting raw
-    /// (un-finalized) clusters. All per-node memory comes from `workspace`.
-    fn run_roots(
-        &self,
-        workspace: &mut MineWorkspace,
-        observer: &mut dyn MineObserver,
-        required: Option<GeneId>,
-        roots: std::ops::Range<CondId>,
-    ) -> Vec<RegCluster> {
-        workspace.prepare(self.matrix.n_conditions());
-        let mut state = RunState {
-            out: Vec::new(),
-            emitted: EmittedSet::default(),
-            observer,
-            required,
-        };
-        let MineWorkspace {
-            scratch,
-            levels,
-            chain,
-            node_members,
-        } = workspace;
-        for root in roots {
-            self.root_members_into(root, node_members);
-            chain.clear();
-            chain.push(root);
-            if self.recurse(chain, node_members, scratch, levels, &mut state) {
-                break;
-            }
+    /// Lends the warm run buffers to one engine run: at least `threads`
+    /// worker buffer sets and one cleared dedup shard per root condition.
+    /// A concurrent second run on the same miner finds the pool empty and
+    /// starts cold. Hand the buffers back with
+    /// [`return_buffers`](Self::return_buffers).
+    pub(crate) fn take_buffers(&self, threads: usize) -> RunBuffers {
+        let mut buffers =
+            std::mem::take(&mut *self.buffers.lock().unwrap_or_else(PoisonError::into_inner));
+        if buffers.workers.len() < threads {
+            buffers.workers.resize_with(threads, Default::default);
         }
-        state.out
+        let n_conds = self.n_conditions();
+        if buffers.shards.len() < n_conds {
+            buffers.shards.resize_with(n_conds, Default::default);
+        }
+        for shard in &mut buffers.shards {
+            shard
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clear();
+        }
+        buffers
+    }
+
+    /// Returns buffers lent by [`take_buffers`](Self::take_buffers) to the
+    /// pool, unless a concurrent run has already refilled it.
+    pub(crate) fn return_buffers(&self, buffers: RunBuffers) {
+        let mut pool = self.buffers.lock().unwrap_or_else(PoisonError::into_inner);
+        if pool.workers.is_empty() {
+            *pool = buffers;
+        }
     }
 
     /// Writes the level-1 member set of `root` into `out` (cleared first):
@@ -277,8 +220,8 @@ impl<'a> Miner<'a> {
         }
     }
 
-    /// The level-1 member set of `root` as an owned list (used to seed the
-    /// engine's shared queue, where tasks must own their members).
+    /// The level-1 member set of `root` as an owned list (for checkpoint
+    /// snapshots, which list unclaimed roots as pending nodes).
     pub(crate) fn root_members(&self, root: CondId) -> Vec<Member> {
         let mut out = Vec::new();
         self.root_members_into(root, &mut out);
@@ -299,90 +242,27 @@ impl<'a> Miner<'a> {
             .collect()
     }
 
-    /// Depth-first traversal over [`expand_node`](Self::expand_node),
-    /// threading the sequential run state. Returns `true` when the emission
-    /// receiver asked the run to stop.
-    ///
-    /// `levels` holds one [`ChildBuf`] per remaining depth: the head buffer
-    /// receives this node's children and stays borrowed (as the source of
-    /// each child's member slice) while the tail recurses — splitting the
-    /// levels is what lets every depth reuse its buffer without any
-    /// per-node allocation.
-    fn recurse(
-        &self,
-        chain: &mut Vec<CondId>,
-        members: &[Member],
-        scratch: &mut NodeScratch,
-        levels: &mut [ChildBuf],
-        state: &mut RunState<'_>,
-    ) -> bool {
-        let (cur, rest) = levels
-            .split_first_mut()
-            .expect("workspace levels cover the maximum chain depth");
-        let RunState {
-            out,
-            emitted,
-            observer,
-            required,
-        } = state;
-        let stop = self.expand_node(
-            chain,
-            members,
-            *required,
-            scratch,
-            cur,
-            &mut **observer,
-            &mut |view, obs| {
-                // Pruning (3)(b): an already-emitted cluster roots a
-                // redundant subtree. Duplicate probes allocate nothing.
-                if !emitted.insert(view.fingerprint(), view) {
-                    return EmitOutcome::Duplicate;
-                }
-                let cluster = view.to_cluster();
-                obs.cluster_emitted(&cluster);
-                out.push(cluster);
-                EmitOutcome::Fresh
-            },
-        );
-        if stop {
-            return true;
-        }
-        for i in 0..cur.index.len() {
-            let child = cur.index[i];
-            chain.push(child.cond);
-            let stop = self.recurse(chain, cur.members_of(child), scratch, rest, state);
-            chain.pop();
-            if stop {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Expands one enumeration node: reports events to `observer`, offers a
     /// validated representative cluster to `try_emit` (as a borrowed
     /// [`ClusterView`]; the receiver materializes fresh clusters and reports
     /// them emitted), and writes the children into `children` in depth-first
     /// order. Returns `true` when the receiver asked the whole run to stop.
-    /// This is the single copy of the paper's Figure 5 node semantics — the
-    /// sequential recursion and the parallel [`engine`](crate::engine) both
-    /// drive their traversals through it, so they cannot diverge.
+    /// This is the paper's Figure 5 node semantics; the
+    /// [`engine`](crate::engine) drives the traversal around it.
     ///
     /// All working memory comes from `scratch` and `children` (cleared on
     /// entry, capacity retained), so steady-state calls allocate nothing.
     ///
     /// `chain` is mutated (push/pop of candidate conditions) to report prune
     /// events at child paths, but is always restored before returning.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn expand_node(
         &self,
         chain: &mut Vec<CondId>,
         members: &[Member],
-        required: Option<GeneId>,
         scratch: &mut NodeScratch,
         children: &mut ChildBuf,
-        observer: &mut dyn MineObserver,
-        try_emit: &mut dyn FnMut(&ClusterView<'_>, &mut dyn MineObserver) -> EmitOutcome,
+        observer: &mut WorkerObserver<'_>,
+        try_emit: &mut dyn FnMut(&ClusterView<'_>, &mut WorkerObserver<'_>) -> EmitOutcome,
     ) -> bool {
         children.clear();
         let NodeScratch {
@@ -412,13 +292,6 @@ impl<'a> Miner<'a> {
         };
         observer.node_entered(chain, n_fwd, n_bwd);
 
-        // Query mining: every cluster of this subtree lacks the required
-        // gene once it has left the member set.
-        if let Some(g) = required {
-            if !members.iter().any(|m| m.gene == g) {
-                return false;
-            }
-        }
         // Pruning (1): MinG — except at level 1, where the member set was
         // filtered solely by the max-chain tables (`root_members_into`
         // admits a gene iff MinC is reachable from the root), so a starved
@@ -714,10 +587,10 @@ fn merge_sorted_into(a: &[GeneId], b: &[GeneId], out: &mut Vec<GeneId>) {
 }
 
 /// Canonical ordering + optional maximal-only post-filter + `max_clusters`
-/// truncation, shared by the sequential and parallel drivers. Because the cap
-/// is applied to the canonically-sorted full result, capped output is a
-/// deterministic function of the cluster *set* — which is why sequential and
-/// work-stealing parallel runs agree bit-for-bit even under `max_clusters`.
+/// truncation. Because the cap is applied to the canonically-sorted full
+/// result, capped output is a deterministic function of the cluster *set* —
+/// which is why runs at every thread count agree bit-for-bit even under
+/// `max_clusters`.
 pub(crate) fn finalize(out: &mut Vec<RegCluster>, params: &MiningParams) {
     if params.maximal_only {
         let snapshot = out.clone();
@@ -741,24 +614,22 @@ pub(crate) fn finalize(out: &mut Vec<RegCluster>, params: &MiningParams) {
     }
 }
 
-/// Canonicalizes a raw emission set the way the collect path does:
-/// `maximal_only` post-filter, canonical sort (chain, then members), then the
-/// `max_clusters` truncation. Sink-mode consumers ([`mine_to_sink`]
-/// delivers clusters unfinalized, in nondeterministic order) call this to
-/// obtain output bit-identical to [`mine`] / [`mine_engine`] for a complete
-/// run.
-///
-/// [`mine_to_sink`]: crate::engine::mine_to_sink
-/// [`mine_engine`]: crate::engine::mine_engine
+/// Canonicalizes a raw emission set: `maximal_only` post-filter, canonical
+/// sort (chain, then members), then the `max_clusters` truncation. The
+/// engine delivers clusters to its sink unfinalized and in nondeterministic
+/// order; this turns a complete run's sink contents into output
+/// bit-identical to [`mine`]'s.
 pub fn finalize_clusters(clusters: &mut Vec<RegCluster>, params: &MiningParams) {
     finalize(clusters, params);
 }
 
-/// Mines all reg-clusters of `matrix` under `params`.
+/// Mines all reg-clusters of `matrix` under `params` — the engine at one
+/// thread, collected and finalized.
 ///
 /// Output clusters satisfy Definition 3.2 with respect to `γ` and `ε` and
 /// are at least `MinG × MinC` in size; each is the maximal coherent gene
-/// window for its representative chain. The result is sorted canonically.
+/// window for its representative chain. The result is sorted canonically
+/// and equals a run at any thread count.
 ///
 /// # Errors
 ///
@@ -767,72 +638,46 @@ pub fn mine(
     matrix: &ExpressionMatrix,
     params: &MiningParams,
 ) -> Result<Vec<RegCluster>, CoreError> {
-    mine_with_observer(matrix, params, &mut NoopObserver)
-}
-
-/// Like [`mine`], reporting enumeration-tree events to `observer`.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParams`] for invalid parameters.
-pub fn mine_with_observer(
-    matrix: &ExpressionMatrix,
-    params: &MiningParams,
-    observer: &mut dyn MineObserver,
-) -> Result<Vec<RegCluster>, CoreError> {
     let miner = Miner::new(matrix, params)?;
-    Ok(miner.mine_all(observer))
-}
-
-/// Mines only the reg-clusters containing `gene` (query mining), pruning
-/// subtrees that lose the gene. Equivalent to filtering [`mine`]'s output.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParams`] for invalid parameters or an
-/// out-of-range gene id.
-pub fn mine_containing(
-    matrix: &ExpressionMatrix,
-    params: &MiningParams,
-    gene: GeneId,
-) -> Result<Vec<RegCluster>, CoreError> {
-    if gene >= matrix.n_genes() {
-        return Err(CoreError::InvalidParams(format!(
-            "gene {gene} out of range (matrix has {} genes)",
-            matrix.n_genes()
-        )));
-    }
-    let miner = Miner::new(matrix, params)?;
-    Ok(miner.mine_containing(gene, &mut NoopObserver))
-}
-
-/// Mines with the enumeration tree shared across `n_threads` worker threads
-/// through the work-stealing [`engine`](crate::engine).
-///
-/// Workers split subtrees at any depth (not just at the roots), so a single
-/// heavy root no longer serializes the run. The merged result is
-/// **bit-identical** to [`mine`]'s — including under `max_clusters` — and
-/// worker panics surface as [`CoreError::WorkerPanic`] instead of aborting
-/// the process (asserted by tests).
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParams`] for invalid parameters or a zero
-/// thread count, and [`CoreError::WorkerPanic`] if a worker panicked.
-pub fn mine_parallel(
-    matrix: &ExpressionMatrix,
-    params: &MiningParams,
-    n_threads: usize,
-) -> Result<Vec<RegCluster>, CoreError> {
-    let config = crate::engine::EngineConfig::new(n_threads);
-    let report = crate::engine::mine_engine(matrix, params, &config)?;
-    Ok(report.clusters)
+    let sink = VecSink::new();
+    mine_prepared_to_sink(
+        &miner,
+        &EngineConfig::new(1),
+        &MineControl::new(),
+        &NoopObserver,
+        &sink,
+    )?;
+    let mut clusters = sink.into_clusters();
+    finalize(&mut clusters, params);
+    Ok(clusters)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::{PruneRule, TraceObserver};
+    use crate::observer::{PruneRule, SyncMineObserver, TraceObserver};
+
+    /// Mines through the engine at `threads` threads, reporting every event
+    /// to `observer`; the result is finalized like [`mine`]'s.
+    fn mine_observed(
+        m: &ExpressionMatrix,
+        params: &MiningParams,
+        threads: usize,
+        observer: &dyn SyncMineObserver,
+    ) -> Result<Vec<RegCluster>, CoreError> {
+        let miner = Miner::new(m, params)?;
+        let sink = VecSink::new();
+        mine_prepared_to_sink(
+            &miner,
+            &EngineConfig::new(threads),
+            &MineControl::new(),
+            observer,
+            &sink,
+        )?;
+        let mut clusters = sink.into_clusters();
+        finalize(&mut clusters, params);
+        Ok(clusters)
+    }
 
     /// Table 1 of the paper.
     pub(crate) fn running_example() -> ExpressionMatrix {
@@ -866,42 +711,34 @@ mod tests {
     fn enumeration_tree_matches_figure_6() {
         let m = running_example();
         let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
-        let mut trace = TraceObserver::default();
-        let clusters = mine_with_observer(&m, &params, &mut trace).unwrap();
+        // One thread: the trace is the whole tree in depth-first order.
+        let trace = TraceObserver::default();
+        let clusters = mine_observed(&m, &params, 1, &trace).unwrap();
         assert_eq!(clusters.len(), 1);
 
         // Level-1 survivors: only c2, c3, c7 (ids 1, 2, 6) proceed past the
         // root prunings; c3 falls to (3)(a) with a single p-member.
         let few_p = trace.pruned_by(PruneRule::FewPMembers);
-        assert!(
-            few_p.contains(&&[2usize][..]),
-            "c3 pruned by (3)(a): {few_p:?}"
-        );
+        assert!(few_p.contains(&vec![2]), "c3 pruned by (3)(a): {few_p:?}");
 
         // c2's subtree: c2c1 and c2c9 die to MinG pruning (1); c2c10c8 too.
         let min_g = trace.pruned_by(PruneRule::MinGenes);
+        assert!(min_g.contains(&vec![1, 0]), "c2c1 pruned by (1): {min_g:?}");
+        assert!(min_g.contains(&vec![1, 8]), "c2c9 pruned by (1): {min_g:?}");
         assert!(
-            min_g.contains(&&[1usize, 0][..]),
-            "c2c1 pruned by (1): {min_g:?}"
-        );
-        assert!(
-            min_g.contains(&&[1usize, 8][..]),
-            "c2c9 pruned by (1): {min_g:?}"
-        );
-        assert!(
-            min_g.contains(&&[1usize, 9, 7][..]),
+            min_g.contains(&vec![1, 9, 7]),
             "c2c10c8 pruned by (1): {min_g:?}"
         );
         // c7c10 dies to MinG pruning as well.
         assert!(
-            min_g.contains(&&[6usize, 9][..]),
+            min_g.contains(&vec![6, 9]),
             "c7c10 pruned by (1): {min_g:?}"
         );
 
         // c2c10c5 dies to coherence pruning (4): H(g2) = 2 vs 0.5263.
         let coh = trace.pruned_by(PruneRule::Coherence);
         assert!(
-            coh.contains(&&[1usize, 9, 4][..]),
+            coh.contains(&vec![1, 9, 4]),
             "c2c10c5 pruned by (4): {coh:?}"
         );
 
@@ -909,11 +746,11 @@ mod tests {
         // c7 → c7c9 → c7c9c5 → c7c9c5c1 → c7c9c5c1c3.
         let nodes = trace.nodes();
         for prefix in [
-            &[6usize][..],
-            &[6, 8][..],
-            &[6, 8, 4][..],
-            &[6, 8, 4, 0][..],
-            &[6, 8, 4, 0, 2][..],
+            vec![6],
+            vec![6, 8],
+            vec![6, 8, 4],
+            vec![6, 8, 4, 0],
+            vec![6, 8, 4, 0, 2],
         ] {
             assert!(nodes.contains(&prefix), "missing node {prefix:?}");
         }
@@ -1002,23 +839,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential() {
+    fn every_thread_count_equals_one_thread() {
         let m = running_example();
         for (min_g, min_c, gamma, eps) in [(3, 5, 0.15, 0.1), (2, 3, 0.05, 0.5), (2, 2, 0.0, 0.2)] {
             let params = MiningParams::new(min_g, min_c, gamma, eps).unwrap();
-            let seq = mine(&m, &params).unwrap();
-            for threads in [1, 2, 4] {
-                let par = mine_parallel(&m, &params, threads).unwrap();
-                assert_eq!(seq, par, "threads={threads} params={params:?}");
+            let one = mine(&m, &params).unwrap();
+            for threads in [2, 4] {
+                let par = mine_observed(&m, &params, threads, &NoopObserver).unwrap();
+                assert_eq!(one, par, "threads={threads} params={params:?}");
             }
         }
     }
 
     #[test]
-    fn parallel_rejects_zero_threads() {
+    fn zero_threads_are_rejected() {
         let m = running_example();
         let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
-        assert!(mine_parallel(&m, &params, 0).is_err());
+        assert!(mine_observed(&m, &params, 0, &NoopObserver).is_err());
     }
 
     #[test]
@@ -1075,12 +912,12 @@ mod tests {
             .unwrap()
             .with_threshold(crate::RegulationThreshold::Absolute(2.0))
             .unwrap();
-        let mut trace = TraceObserver::default();
-        let clusters = mine_with_observer(&m, &params, &mut trace).unwrap();
+        let trace = TraceObserver::default();
+        let clusters = mine_observed(&m, &params, 1, &trace).unwrap();
         assert!(
             !trace.pruned_by(PruneRule::Duplicate).is_empty(),
             "duplicate pruning should fire: {:?}",
-            trace.events
+            trace.events()
         );
         // The duplicated cluster is reported exactly once.
         let hits: Vec<_> = clusters
@@ -1091,31 +928,6 @@ mod tests {
         for c in &clusters {
             c.validate(&m, &params).unwrap();
         }
-    }
-
-    #[test]
-    fn mine_containing_equals_filtered_full_mine() {
-        let m = running_example();
-        for (min_g, min_c, gamma, eps) in [(3, 5, 0.15, 0.1), (2, 3, 0.05, 0.5), (2, 2, 0.0, 0.2)] {
-            let params = MiningParams::new(min_g, min_c, gamma, eps).unwrap();
-            let all = mine(&m, &params).unwrap();
-            for gene in 0..m.n_genes() {
-                let queried = mine_containing(&m, &params, gene).unwrap();
-                let filtered: Vec<RegCluster> = all
-                    .iter()
-                    .filter(|c| c.genes().binary_search(&gene).is_ok())
-                    .cloned()
-                    .collect();
-                assert_eq!(queried, filtered, "gene {gene} under {params:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn mine_containing_rejects_out_of_range_gene() {
-        let m = running_example();
-        let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
-        assert!(mine_containing(&m, &params, 99).is_err());
     }
 
     #[test]

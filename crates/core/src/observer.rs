@@ -1,9 +1,11 @@
 //! Instrumentation hooks for the enumeration tree.
 //!
 //! The paper's Figure 6 annotates every edge of the representative-chain
-//! enumeration tree with the pruning strategy applied. [`MineObserver`]
+//! enumeration tree with the pruning strategy applied. [`SyncMineObserver`]
 //! exposes those events so tests can reproduce the tree exactly and so users
 //! can trace why a parameter setting returns nothing.
+
+use std::sync::{Mutex, PoisonError};
 
 use regcluster_matrix::CondId;
 use serde::{Deserialize, Serialize};
@@ -66,25 +68,14 @@ impl PruneRule {
 }
 
 /// Receiver for enumeration-tree events. All methods default to no-ops.
-pub trait MineObserver {
-    /// A node (partial representative chain) was entered with `n_p`
-    /// p-members and `n_n` n-members.
-    fn node_entered(&mut self, _chain: &[CondId], _n_p: usize, _n_n: usize) {}
-    /// The subtree at `chain` was pruned by `rule`.
-    fn pruned(&mut self, _chain: &[CondId], _rule: PruneRule) {}
-    /// A validated reg-cluster was emitted.
-    fn cluster_emitted(&mut self, _cluster: &RegCluster) {}
-}
-
-/// Receiver for enumeration-tree events from concurrent workers.
 ///
-/// The thread-safe counterpart of [`MineObserver`], used by the parallel
-/// [`engine`](crate::engine): methods take `&self` and implementations must
-/// be [`Sync`] because every worker reports through the same instance.
-/// Events from different workers interleave arbitrarily; only the per-worker
-/// sub-streams are in depth-first order. For aggregate counters prefer the
-/// per-worker [`MiningStats`] that the engine accumulates lock-free and
-/// merges at join.
+/// Methods take `&self` and implementations must be [`Sync`] because every
+/// [`engine`](crate::engine) worker reports through the same instance.
+/// Events from different workers interleave arbitrarily; only the
+/// per-worker sub-streams are in depth-first order, so a 1-thread run
+/// reports the whole tree in depth-first order. For aggregate counters
+/// prefer the per-worker [`MiningStats`] that the engine accumulates
+/// lock-free and merges at join.
 pub trait SyncMineObserver: Sync {
     /// A node (partial representative chain) was entered with `n_p`
     /// p-members and `n_n` n-members.
@@ -99,9 +90,31 @@ pub trait SyncMineObserver: Sync {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopObserver;
 
-impl MineObserver for NoopObserver {}
-
 impl SyncMineObserver for NoopObserver {}
+
+/// One worker's event fan-out: lock-free [`MiningStats`] plus the run's
+/// shared [`SyncMineObserver`].
+pub(crate) struct WorkerObserver<'a> {
+    pub stats: MiningStats,
+    pub user: &'a dyn SyncMineObserver,
+}
+
+impl WorkerObserver<'_> {
+    pub fn node_entered(&mut self, chain: &[CondId], n_p: usize, n_n: usize) {
+        self.stats.record_node(chain);
+        self.user.node_entered(chain, n_p, n_n);
+    }
+
+    pub fn pruned(&mut self, chain: &[CondId], rule: PruneRule) {
+        self.stats.record_prune(rule);
+        self.user.pruned(chain, rule);
+    }
+
+    pub fn cluster_emitted(&mut self, cluster: &RegCluster) {
+        self.stats.emitted += 1;
+        self.user.cluster_emitted(cluster);
+    }
+}
 
 /// A recorded enumeration event.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,31 +127,46 @@ pub enum TraceEvent {
     Emitted(RegCluster),
 }
 
-/// An observer that records every event, for tests and debugging.
+/// An observer that records every event, for tests and debugging. Mine at
+/// one thread to record the tree in depth-first order.
 #[derive(Debug, Default)]
 pub struct TraceObserver {
-    /// The events, in depth-first order.
-    pub events: Vec<TraceEvent>,
+    events: Mutex<Vec<TraceEvent>>,
 }
 
 impl TraceObserver {
-    /// All chains at which a given rule fired.
-    pub fn pruned_by(&self, rule: PruneRule) -> Vec<&[CondId]> {
+    fn record(&self, event: TraceEvent) {
         self.events
-            .iter()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(event);
+    }
+
+    /// The recorded events, in arrival order.
+    pub fn events(&self) -> Vec<TraceEvent> {
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// All chains at which a given rule fired.
+    pub fn pruned_by(&self, rule: PruneRule) -> Vec<Vec<CondId>> {
+        self.events()
+            .into_iter()
             .filter_map(|e| match e {
-                TraceEvent::Pruned(chain, r) if *r == rule => Some(chain.as_slice()),
+                TraceEvent::Pruned(chain, r) if r == rule => Some(chain),
                 _ => None,
             })
             .collect()
     }
 
-    /// All node chains entered, in DFS order.
-    pub fn nodes(&self) -> Vec<&[CondId]> {
-        self.events
-            .iter()
+    /// All node chains entered, in arrival order.
+    pub fn nodes(&self) -> Vec<Vec<CondId>> {
+        self.events()
+            .into_iter()
             .filter_map(|e| match e {
-                TraceEvent::Node(chain, _, _) => Some(chain.as_slice()),
+                TraceEvent::Node(chain, _, _) => Some(chain),
                 _ => None,
             })
             .collect()
@@ -146,7 +174,7 @@ impl TraceObserver {
 
     /// Number of emitted clusters.
     pub fn n_emitted(&self) -> usize {
-        self.events
+        self.events()
             .iter()
             .filter(|e| matches!(e, TraceEvent::Emitted(_)))
             .count()
@@ -176,9 +204,9 @@ pub struct MiningStats {
 
 impl MiningStats {
     /// Folds another accumulator into this one: counters add, `max_depth`
-    /// takes the maximum. Used by the parallel engine to combine per-worker
+    /// takes the maximum. Used by the engine to combine per-worker
     /// statistics at join; because workers partition the enumeration tree,
-    /// the merged totals equal a sequential run's.
+    /// the merged totals equal a 1-thread run's.
     pub fn merge(&mut self, other: &MiningStats) {
         self.nodes += other.nodes;
         self.max_depth = self.max_depth.max(other.max_depth);
@@ -202,14 +230,15 @@ impl MiningStats {
             self.pruned_coherence
         )
     }
-}
 
-impl MineObserver for MiningStats {
-    fn node_entered(&mut self, chain: &[CondId], _n_p: usize, _n_n: usize) {
+    /// Counts one entered node at depth `chain.len()`.
+    pub(crate) fn record_node(&mut self, chain: &[CondId]) {
         self.nodes += 1;
         self.max_depth = self.max_depth.max(chain.len());
     }
-    fn pruned(&mut self, _chain: &[CondId], rule: PruneRule) {
+
+    /// Counts one subtree cut by `rule`.
+    pub(crate) fn record_prune(&mut self, rule: PruneRule) {
         match rule {
             PruneRule::MinGenes => self.pruned_min_genes += 1,
             PruneRule::FewPMembers => self.pruned_few_p += 1,
@@ -221,20 +250,17 @@ impl MineObserver for MiningStats {
             PruneRule::MinConds => {}
         }
     }
-    fn cluster_emitted(&mut self, _cluster: &RegCluster) {
-        self.emitted += 1;
-    }
 }
 
-impl MineObserver for TraceObserver {
-    fn node_entered(&mut self, chain: &[CondId], n_p: usize, n_n: usize) {
-        self.events.push(TraceEvent::Node(chain.to_vec(), n_p, n_n));
+impl SyncMineObserver for TraceObserver {
+    fn node_entered(&self, chain: &[CondId], n_p: usize, n_n: usize) {
+        self.record(TraceEvent::Node(chain.to_vec(), n_p, n_n));
     }
-    fn pruned(&mut self, chain: &[CondId], rule: PruneRule) {
-        self.events.push(TraceEvent::Pruned(chain.to_vec(), rule));
+    fn pruned(&self, chain: &[CondId], rule: PruneRule) {
+        self.record(TraceEvent::Pruned(chain.to_vec(), rule));
     }
-    fn cluster_emitted(&mut self, cluster: &RegCluster) {
-        self.events.push(TraceEvent::Emitted(cluster.clone()));
+    fn cluster_emitted(&self, cluster: &RegCluster) {
+        self.record(TraceEvent::Emitted(cluster.clone()));
     }
 }
 
@@ -244,7 +270,7 @@ mod tests {
 
     #[test]
     fn trace_observer_records_and_filters() {
-        let mut t = TraceObserver::default();
+        let t = TraceObserver::default();
         t.node_entered(&[1], 2, 1);
         t.pruned(&[1, 2], PruneRule::MinGenes);
         t.pruned(&[1, 3], PruneRule::Coherence);
@@ -254,27 +280,31 @@ mod tests {
             n_members: vec![],
         };
         t.cluster_emitted(&c);
-        assert_eq!(t.nodes(), vec![&[1usize][..]]);
-        assert_eq!(t.pruned_by(PruneRule::MinGenes), vec![&[1usize, 2][..]]);
+        assert_eq!(t.nodes(), vec![vec![1]]);
+        assert_eq!(t.pruned_by(PruneRule::MinGenes), vec![vec![1, 2]]);
         assert_eq!(t.pruned_by(PruneRule::Duplicate).len(), 0);
         assert_eq!(t.n_emitted(), 1);
     }
 
     #[test]
     fn stats_observer_counts_everything() {
-        let mut s = MiningStats::default();
-        s.node_entered(&[1], 2, 1);
-        s.node_entered(&[1, 2, 3], 2, 0);
-        s.pruned(&[1, 2], PruneRule::MinGenes);
-        s.pruned(&[1, 3], PruneRule::Coherence);
-        s.pruned(&[2], PruneRule::FewPMembers);
-        s.pruned(&[3], PruneRule::Duplicate);
+        let mut w = WorkerObserver {
+            stats: MiningStats::default(),
+            user: &NoopObserver,
+        };
+        w.node_entered(&[1], 2, 1);
+        w.node_entered(&[1, 2, 3], 2, 0);
+        w.pruned(&[1, 2], PruneRule::MinGenes);
+        w.pruned(&[1, 3], PruneRule::Coherence);
+        w.pruned(&[2], PruneRule::FewPMembers);
+        w.pruned(&[3], PruneRule::Duplicate);
         let c = RegCluster {
             chain: vec![1, 2, 3],
             p_members: vec![0],
             n_members: vec![],
         };
-        s.cluster_emitted(&c);
+        w.cluster_emitted(&c);
+        let s = w.stats;
         assert_eq!(s.nodes, 2);
         assert_eq!(s.max_depth, 3);
         assert_eq!(s.emitted, 1);

@@ -1,19 +1,22 @@
 //! Reusable scratch space for the enumeration core.
 //!
 //! Steady-state enumeration performs **zero heap allocations per node**: all
-//! per-node working memory lives in grow-only buffers owned by the caller —
-//! [`NodeScratch`] for the intra-node working set of
-//! [`Miner::expand_node`](crate::miner::Miner), [`ChildBuf`] for the flat
-//! member arena the node's children are written into, and the public
-//! [`MineWorkspace`] bundling everything a sequential run needs so repeated
-//! runs on the same [`Miner`](crate::Miner) reuse one warmed allocation set.
-//! The engine's workers assemble the same pieces around their work-stealing
-//! deques (see `engine.rs`).
+//! per-node working memory lives in grow-only buffers — [`NodeScratch`] for
+//! the intra-node working set of [`Miner::expand_node`](crate::miner::Miner),
+//! [`ChildBuf`] for the flat member arena the node's children are written
+//! into, and [`WorkerBufs`] bundling everything one engine worker needs.
+//! A [`Miner`](crate::Miner) keeps its workers' buffers and the dedup shards
+//! in a [`RunBuffers`] pool between runs, so a second run on the same miner
+//! starts warm.
+
+use std::collections::VecDeque;
+use std::sync::Mutex;
 
 use regcluster_matrix::{CondId, GeneId};
 
 use crate::bitset::BitMask;
 use crate::coherence::Window;
+use crate::intern::EmittedSet;
 use crate::miner::{Member, MemberCtx};
 
 /// Per-node working buffers of `expand_node`, reused across every node of a
@@ -58,14 +61,6 @@ pub(crate) struct NodeScratch {
 }
 
 impl NodeScratch {
-    /// A scratch whose candidate mask already covers `n_conds` conditions.
-    pub fn with_conds(n_conds: usize) -> Self {
-        NodeScratch {
-            cand: BitMask::with_bits(n_conds),
-            ..NodeScratch::default()
-        }
-    }
-
     /// Grows the candidate mask to cover `n_conds` conditions.
     pub fn prepare(&mut self, n_conds: usize) {
         self.cand.prepare(n_conds);
@@ -118,39 +113,58 @@ impl ChildBuf {
     }
 }
 
-/// Reusable working memory for sequential mining runs.
-///
-/// All buffers the enumeration needs — node scratch space, one child arena
-/// per recursion depth, the chain stack, and the root member list — grow to
-/// their high-water mark during the first run and are reused afterwards, so
-/// steady-state enumeration allocates nothing per node. Create one with
-/// [`MineWorkspace::new`] and pass it to
-/// [`Miner::mine_all_with`](crate::Miner::mine_all_with) as many times as
-/// you like; a workspace warmed on one matrix works on any other (buffers
-/// only ever grow).
-#[derive(Debug, Default)]
-pub struct MineWorkspace {
-    pub(crate) scratch: NodeScratch,
-    /// One child buffer per recursion depth (depth `d` writes `levels[d-1]`).
-    pub(crate) levels: Vec<ChildBuf>,
-    pub(crate) chain: Vec<CondId>,
-    pub(crate) node_members: Vec<Member>,
+/// A pending enumeration node local to one worker: ranges into the worker's
+/// chain and member arenas. See the engine's `worker` for the stack
+/// discipline that keeps the back-of-deque node's ranges topmost in both
+/// arenas, letting a pop reclaim its space with a plain `truncate`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NodeRef {
+    pub chain_start: usize,
+    pub chain_len: usize,
+    pub member_start: usize,
+    pub member_len: usize,
 }
 
-impl MineWorkspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        MineWorkspace::default()
-    }
+/// Everything one engine worker expands nodes with. Every buffer is
+/// grow-only, so a worker handed warmed buffers allocates nothing per node.
+#[derive(Debug, Default)]
+pub(crate) struct WorkerBufs {
+    pub scratch: NodeScratch,
+    pub children: ChildBuf,
+    /// Chain of the node currently being expanded.
+    pub chain: Vec<CondId>,
+    /// Members of the node currently being expanded (a claimed root's
+    /// level-1 members are written straight into it).
+    pub members: Vec<Member>,
+    /// Pristine pre-expansion copy of `chain`, kept only on checkpointing
+    /// runs: `expand_node` mutates `chain` in place, so a panicking
+    /// expansion (or a sink-initiated stop, which discards the children)
+    /// restores the node for the frontier from this buffer.
+    pub chain_backup: Vec<CondId>,
+    /// Chain ids of the pending local nodes, addressed by `local`.
+    pub chain_arena: Vec<CondId>,
+    /// Members of the pending local nodes, addressed by `local`.
+    pub member_arena: Vec<Member>,
+    /// The worker's LIFO deque of pending local nodes.
+    pub local: VecDeque<NodeRef>,
+}
 
-    /// Ensures the workspace covers a matrix with `n_conds` conditions: the
-    /// candidate mask spans every condition and one child buffer exists per
-    /// possible recursion depth (a chain never repeats a condition, so depth
-    /// is bounded by `n_conds`).
-    pub(crate) fn prepare(&mut self, n_conds: usize) {
+impl WorkerBufs {
+    /// Readies the buffers for a run over `n_conds` conditions. Pending
+    /// nodes a previous run abandoned are dropped; capacity is kept.
+    pub fn reset(&mut self, n_conds: usize) {
         self.scratch.prepare(n_conds);
-        while self.levels.len() < n_conds.max(1) {
-            self.levels.push(ChildBuf::default());
-        }
+        self.chain_arena.clear();
+        self.member_arena.clear();
+        self.local.clear();
     }
+}
+
+/// The buffers a [`Miner`](crate::Miner) keeps warm between runs: one
+/// [`WorkerBufs`] per worker the largest run so far used, and the
+/// duplicate-elimination sets sharded by root condition.
+#[derive(Debug, Default)]
+pub(crate) struct RunBuffers {
+    pub workers: Vec<WorkerBufs>,
+    pub shards: Vec<Mutex<EmittedSet>>,
 }

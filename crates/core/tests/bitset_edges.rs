@@ -13,8 +13,24 @@ use proptest::prelude::*;
 use regcluster_core::bitset::{
     from_indices, indices, intersect_into, popcount, words_for, BitMask, WORD_BITS,
 };
-use regcluster_core::{mine, mine_parallel, MiningParams};
+use regcluster_core::{
+    finalize_clusters, mine, mine_prepared_to_sink, EngineConfig, MineControl, Miner, MiningParams,
+    NoopObserver, RegCluster, VecSink,
+};
 use regcluster_datagen::{generate, SyntheticConfig};
+use regcluster_matrix::ExpressionMatrix;
+
+/// Mines every root at `threads` threads, collected and finalized.
+fn mine_threads(m: &ExpressionMatrix, params: &MiningParams, threads: usize) -> Vec<RegCluster> {
+    let miner = Miner::new(m, params).expect("valid mining input");
+    let sink = VecSink::new();
+    let config = EngineConfig::new(threads);
+    mine_prepared_to_sink(&miner, &config, &MineControl::new(), &NoopObserver, &sink)
+        .expect("engine succeeds");
+    let mut clusters = sink.into_clusters();
+    finalize_clusters(&mut clusters, params);
+    clusters
+}
 
 /// Bit counts at and around the `u64` word boundaries.
 const BOUNDARY_BITS: [usize; 6] = [63, 64, 65, 127, 128, 129];
@@ -150,7 +166,7 @@ proptest! {
 
 /// End-to-end mining on matrices whose condition counts straddle the word
 /// boundaries: the packed candidate mask spans exactly 1, 2 or 3 words, and
-/// sequential and parallel mining must agree on identical output either way.
+/// mining at 1 and at 4 threads must agree on identical output either way.
 #[test]
 fn mining_agrees_across_word_boundary_widths() {
     for n_conds in BOUNDARY_BITS {
@@ -162,10 +178,10 @@ fn mining_agrees_across_word_boundary_widths() {
         };
         let data = generate(&cfg).expect("generator config is feasible");
         let params = MiningParams::new(3, 6, 0.1, 0.01).expect("valid params");
-        let seq = mine(&data.matrix, &params).expect("sequential mine");
-        let par = mine_parallel(&data.matrix, &params, 4).expect("parallel mine");
-        assert_eq!(seq, par, "sequential ≡ parallel at #cond = {n_conds}");
-        for c in &seq {
+        let one = mine(&data.matrix, &params).expect("1-thread mine");
+        let par = mine_threads(&data.matrix, &params, 4);
+        assert_eq!(one, par, "1 thread ≡ 4 threads at #cond = {n_conds}");
+        for c in &one {
             c.validate(&data.matrix, &params)
                 .expect("mined cluster re-validates against the raw matrix");
         }

@@ -13,11 +13,32 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Duration;
 
 use regcluster_core::{
-    mine_engine, mine_engine_checkpointed, CheckpointPlan, EngineCheckpoint, EngineConfig,
-    MemoryCheckpointSink, MineControl, MiningParams, NoopObserver, RegCluster, SyncMineObserver,
+    finalize_clusters, mine, mine_prepared_roots_to_sink_checkpointed, CheckpointPlan,
+    CheckpointReport, CoreError, EngineCheckpoint, EngineConfig, MemoryCheckpointSink, MineControl,
+    Miner, MiningParams, NoopObserver, RegCluster, StreamReport, SyncMineObserver, VecSink,
 };
 use regcluster_datagen::{generate, running_example, PatternKind, SyntheticConfig};
 use regcluster_matrix::ExpressionMatrix;
+
+/// A checkpointed run over every root, collected and finalized.
+fn mine_checkpointed(
+    matrix: &ExpressionMatrix,
+    params: &MiningParams,
+    config: &EngineConfig,
+    control: &MineControl,
+    observer: &dyn SyncMineObserver,
+    plan: CheckpointPlan<'_>,
+) -> Result<(Vec<RegCluster>, StreamReport, CheckpointReport), CoreError> {
+    let miner = Miner::new(matrix, params)?;
+    let roots: Vec<usize> = (0..matrix.n_conditions()).collect();
+    let sink = VecSink::new();
+    let (report, ck_report) = mine_prepared_roots_to_sink_checkpointed(
+        &miner, &roots, config, control, observer, &sink, plan,
+    )?;
+    let mut clusters = sink.into_clusters();
+    finalize_clusters(&mut clusters, params);
+    Ok((clusters, report, ck_report))
+}
 
 /// Cancels `control` once `budget` fresh clusters have been emitted.
 struct CancelAfterEmissions {
@@ -90,12 +111,12 @@ fn mine_through_interrupts(
         if let Some(ck) = resume.take() {
             plan = plan.with_resume(ck);
         }
-        let (report, ck_report) =
-            mine_engine_checkpointed(matrix, params, config, &control, &observer, plan)
+        let (clusters, report, ck_report) =
+            mine_checkpointed(matrix, params, config, &control, &observer, plan)
                 .expect("checkpointed mining succeeds");
         assert_eq!(ck_report.resumed, interrupts > 0);
         if !report.truncated {
-            return (report.clusters, interrupts);
+            return (clusters, interrupts);
         }
         interrupts += 1;
         assert!(
@@ -117,9 +138,7 @@ fn interrupt_resume_is_bit_identical_across_thread_counts() {
         ("running_example", running_dataset()),
         ("synthetic", synthetic_dataset()),
     ] {
-        let reference = mine_engine(&matrix, &params, &EngineConfig::new(2))
-            .unwrap()
-            .clusters;
+        let reference = mine(&matrix, &params).unwrap();
         assert!(
             !reference.is_empty(),
             "{name}: golden set must be non-empty"
@@ -143,13 +162,11 @@ fn periodic_checkpoints_do_not_change_the_result() {
     // `every = ZERO` forces a pause (and a snapshot, and a full worker
     // respawn) after every worker's next node — the most hostile cadence.
     let (matrix, params) = running_dataset();
-    let reference = mine_engine(&matrix, &params, &EngineConfig::new(2))
-        .unwrap()
-        .clusters;
+    let reference = mine(&matrix, &params).unwrap();
     for threads in [1usize, 2, 4] {
         let ck_sink = MemoryCheckpointSink::new();
         let plan = CheckpointPlan::new(&ck_sink).with_every(Duration::ZERO);
-        let (report, ck_report) = mine_engine_checkpointed(
+        let (clusters, report, ck_report) = mine_checkpointed(
             &matrix,
             &params,
             &EngineConfig::new(threads),
@@ -159,7 +176,7 @@ fn periodic_checkpoints_do_not_change_the_result() {
         )
         .unwrap();
         assert!(!report.truncated);
-        assert_eq!(report.clusters, reference, "threads = {threads}");
+        assert_eq!(clusters, reference, "threads = {threads}");
         assert!(
             ck_report.checkpoints_written > 0,
             "zero interval must checkpoint at least once (threads = {threads})"
@@ -170,12 +187,10 @@ fn periodic_checkpoints_do_not_change_the_result() {
     // A coarser cadence on the synthetic dataset, where legs actually carry
     // several nodes each.
     let (matrix, params) = synthetic_dataset();
-    let reference = mine_engine(&matrix, &params, &EngineConfig::new(2))
-        .unwrap()
-        .clusters;
+    let reference = mine(&matrix, &params).unwrap();
     let ck_sink = MemoryCheckpointSink::new();
     let plan = CheckpointPlan::new(&ck_sink).with_every(Duration::from_micros(200));
-    let (report, _) = mine_engine_checkpointed(
+    let (clusters, report, _) = mine_checkpointed(
         &matrix,
         &params,
         &EngineConfig::new(4),
@@ -185,14 +200,14 @@ fn periodic_checkpoints_do_not_change_the_result() {
     )
     .unwrap();
     assert!(!report.truncated);
-    assert_eq!(report.clusters, reference);
+    assert_eq!(clusters, reference);
 }
 
 #[test]
 fn completed_run_writes_no_checkpoint() {
     let (matrix, params) = running_dataset();
     let ck_sink = MemoryCheckpointSink::new();
-    let (report, ck_report) = mine_engine_checkpointed(
+    let (_, report, ck_report) = mine_checkpointed(
         &matrix,
         &params,
         &EngineConfig::new(2),
@@ -212,7 +227,7 @@ fn interrupted_checkpoint(matrix: &ExpressionMatrix, params: &MiningParams) -> E
     let ck_sink = MemoryCheckpointSink::new();
     let control = MineControl::new();
     let observer = CancelAfterEmissions::new(control.clone(), 1);
-    let (report, _) = mine_engine_checkpointed(
+    let (_, report, _) = mine_checkpointed(
         matrix,
         params,
         &EngineConfig::new(2),
@@ -233,7 +248,7 @@ fn resume_refuses_mismatched_runs() {
     let expect_refusal =
         |ck: EngineCheckpoint, matrix: &ExpressionMatrix, params: &MiningParams| {
             let sink = MemoryCheckpointSink::new();
-            let err = mine_engine_checkpointed(
+            let err = mine_checkpointed(
                 matrix,
                 params,
                 &EngineConfig::new(2),
@@ -243,7 +258,7 @@ fn resume_refuses_mismatched_runs() {
             )
             .expect_err("mismatched resume must be refused");
             match err {
-                regcluster_core::CoreError::Checkpoint(msg) => msg,
+                CoreError::Checkpoint(msg) => msg,
                 other => panic!("expected CoreError::Checkpoint, got {other:?}"),
             }
         };
@@ -281,7 +296,7 @@ fn resume_refuses_mismatched_runs() {
 
     // The pristine checkpoint still resumes fine against the right inputs.
     let sink = MemoryCheckpointSink::new();
-    let (report, ck_report) = mine_engine_checkpointed(
+    let (_, report, ck_report) = mine_checkpointed(
         &matrix,
         &params,
         &EngineConfig::new(2),

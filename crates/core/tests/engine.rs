@@ -1,5 +1,5 @@
-//! Integration tests of the parallel mining engine: determinism across
-//! thread counts, observer statistics, sinks, cancellation, and worker-panic
+//! Integration tests of the mining engine: determinism across thread
+//! counts, observer statistics, sinks, cancellation, and worker-panic
 //! capture.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -8,11 +8,47 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use regcluster_core::{
-    mine, mine_engine, mine_engine_with, mine_to_sink, CappedSink, CoreError, EngineConfig,
-    MineControl, MiningParams, MiningStats, NoopObserver, RegCluster, SplitStrategy, StreamingSink,
-    SyncMineObserver, VecSink,
+    finalize_clusters, mine, mine_prepared_to_sink, CappedSink, ClusterSink, CoreError,
+    EngineConfig, MineControl, Miner, MiningParams, NoopObserver, RegCluster, SplitStrategy,
+    StreamReport, StreamingSink, SyncMineObserver, VecSink,
 };
 use regcluster_matrix::ExpressionMatrix;
+
+/// Streams one engine run over every root into `sink`.
+fn stream(
+    m: &ExpressionMatrix,
+    params: &MiningParams,
+    config: &EngineConfig,
+    control: &MineControl,
+    observer: &dyn SyncMineObserver,
+    sink: &dyn ClusterSink,
+) -> Result<StreamReport, CoreError> {
+    let miner = Miner::new(m, params)?;
+    mine_prepared_to_sink(&miner, config, control, observer, sink)
+}
+
+/// One engine run, collected and finalized.
+fn collect(
+    m: &ExpressionMatrix,
+    params: &MiningParams,
+    config: &EngineConfig,
+    control: &MineControl,
+    observer: &dyn SyncMineObserver,
+) -> Result<(Vec<RegCluster>, StreamReport), CoreError> {
+    let sink = VecSink::new();
+    let report = stream(m, params, config, control, observer, &sink)?;
+    let mut clusters = sink.into_clusters();
+    finalize_clusters(&mut clusters, params);
+    Ok((clusters, report))
+}
+
+fn collect_all(
+    m: &ExpressionMatrix,
+    params: &MiningParams,
+    config: &EngineConfig,
+) -> (Vec<RegCluster>, StreamReport) {
+    collect(m, params, config, &MineControl::new(), &NoopObserver).expect("engine succeeds")
+}
 
 /// A small random matrix plus mining parameters (mirrors the strategy in
 /// `properties.rs`).
@@ -49,11 +85,11 @@ fn running_example() -> (ExpressionMatrix, MiningParams) {
 }
 
 proptest! {
-    /// Engine output is bit-identical to the sequential miner for every
-    /// thread count, with and without a cluster cap, under both split
+    /// Engine output at every thread count is bit-identical to the
+    /// 1-thread run, with and without a cluster cap, under both split
     /// strategies.
     #[test]
-    fn engine_matches_sequential_across_thread_counts(
+    fn engine_matches_one_thread_across_thread_counts(
         (m, params) in matrix_strategy(),
         cap in prop_oneof![Just(None), (1usize..4).prop_map(Some)],
     ) {
@@ -61,31 +97,28 @@ proptest! {
             Some(c) => params.clone().with_max_clusters(c),
             None => params,
         };
-        let seq = mine(&m, &params).expect("sequential mining succeeds");
+        let one = mine(&m, &params).expect("1-thread mining succeeds");
         for threads in [1usize, 2, 4, 8] {
             let config = EngineConfig::new(threads);
-            let report = mine_engine(&m, &params, &config).expect("engine succeeds");
+            let (clusters, report) = collect_all(&m, &params, &config);
             prop_assert!(!report.truncated);
-            prop_assert_eq!(&report.clusters, &seq, "threads = {}", threads);
+            prop_assert_eq!(&clusters, &one, "threads = {}", threads);
 
             let static_cfg = config.clone().with_split(SplitStrategy::StaticRoots);
-            let report = mine_engine(&m, &params, &static_cfg).expect("engine succeeds");
-            prop_assert_eq!(&report.clusters, &seq, "static roots, threads = {}", threads);
+            let (clusters, _) = collect_all(&m, &params, &static_cfg);
+            prop_assert_eq!(&clusters, &one, "static roots, threads = {}", threads);
         }
     }
 
-    /// The merged per-worker statistics equal a sequential observer's totals
-    /// at every thread count: first-arrival duplicate pruning keeps the event
+    /// The merged per-worker statistics equal the 1-thread totals at every
+    /// thread count: first-arrival duplicate pruning keeps the event
     /// multiset invariant (DESIGN.md §7.6).
     #[test]
-    fn engine_stats_match_sequential((m, params) in matrix_strategy()) {
-        let mut seq_stats = MiningStats::default();
-        regcluster_core::mine_with_observer(&m, &params, &mut seq_stats)
-            .expect("sequential mining succeeds");
-        for threads in [1usize, 2, 4, 8] {
-            let report = mine_engine(&m, &params, &EngineConfig::new(threads))
-                .expect("engine succeeds");
-            prop_assert_eq!(&report.stats, &seq_stats, "threads = {}", threads);
+    fn engine_stats_match_one_thread((m, params) in matrix_strategy()) {
+        let (_, one) = collect_all(&m, &params, &EngineConfig::new(1));
+        for threads in [2usize, 4, 8] {
+            let (_, report) = collect_all(&m, &params, &EngineConfig::new(threads));
+            prop_assert_eq!(&report.stats, &one.stats, "threads = {}", threads);
         }
     }
 
@@ -95,7 +128,7 @@ proptest! {
     #[test]
     fn sink_streams_the_full_cluster_set((m, params) in matrix_strategy()) {
         let sink = VecSink::new();
-        let stream = mine_to_sink(
+        let report = stream(
             &m,
             &params,
             &EngineConfig::new(4),
@@ -104,8 +137,8 @@ proptest! {
             &sink,
         )
         .expect("streaming succeeds");
-        prop_assert!(!stream.truncated);
-        prop_assert!(!stream.stopped_by_sink);
+        prop_assert!(!report.truncated);
+        prop_assert!(!report.stopped_by_sink);
         let mut streamed = sink.into_clusters();
         streamed.sort_by(|a, b| {
             (&a.chain, &a.p_members, &a.n_members).cmp(&(&b.chain, &b.p_members, &b.n_members))
@@ -114,7 +147,7 @@ proptest! {
         streamed.dedup();
         prop_assert_eq!(before, streamed.len(), "sink received duplicates");
 
-        let finalized = mine(&m, &params).expect("sequential mining succeeds");
+        let finalized = mine(&m, &params).expect("1-thread mining succeeds");
         for c in &finalized {
             prop_assert!(streamed.contains(c), "finalized cluster missing from stream");
         }
@@ -125,9 +158,9 @@ proptest! {
 fn engine_finds_running_example_on_every_thread_count() {
     let (m, params) = running_example();
     for threads in [1usize, 2, 4, 8] {
-        let report = mine_engine(&m, &params, &EngineConfig::new(threads)).unwrap();
-        assert_eq!(report.clusters.len(), 1, "threads = {threads}");
-        let c = &report.clusters[0];
+        let (clusters, _) = collect_all(&m, &params, &EngineConfig::new(threads));
+        assert_eq!(clusters.len(), 1, "threads = {threads}");
+        let c = &clusters[0];
         assert_eq!(c.chain, vec![6, 8, 4, 0, 2]);
         assert_eq!(c.p_members, vec![0, 2]);
         assert_eq!(c.n_members, vec![1]);
@@ -147,7 +180,7 @@ impl SyncMineObserver for PanickingObserver {
 fn panicking_observer_surfaces_as_worker_panic_error() {
     let (m, params) = running_example();
     for threads in [1usize, 4] {
-        let err = mine_engine_with(
+        let err = collect(
             &m,
             &params,
             &EngineConfig::new(threads),
@@ -168,13 +201,17 @@ fn panicking_observer_surfaces_as_worker_panic_error() {
 fn zero_deadline_reports_truncation_without_panicking() {
     let (m, params) = running_example();
     let control = MineControl::with_deadline(Duration::ZERO);
-    let report = mine_engine_with(&m, &params, &EngineConfig::new(4), &control, &NoopObserver)
+    for threads in [1usize, 4] {
+        let (clusters, report) = collect(
+            &m,
+            &params,
+            &EngineConfig::new(threads),
+            &control,
+            &NoopObserver,
+        )
         .expect("an expired deadline is not an engine error");
-    assert!(report.truncated);
-    assert!(report.clusters.is_empty());
-    match report.into_result() {
-        Err(CoreError::Cancelled) => {}
-        other => panic!("expected Err(Cancelled), got {other:?}"),
+        assert!(report.truncated, "threads = {threads}");
+        assert!(clusters.is_empty(), "threads = {threads}");
     }
 }
 
@@ -183,10 +220,10 @@ fn cancelled_control_stops_the_run() {
     let (m, params) = running_example();
     let control = MineControl::new();
     control.cancel();
-    let report =
-        mine_engine_with(&m, &params, &EngineConfig::new(2), &control, &NoopObserver).unwrap();
+    let (clusters, report) =
+        collect(&m, &params, &EngineConfig::new(2), &control, &NoopObserver).unwrap();
     assert!(report.truncated);
-    assert!(report.clusters.is_empty());
+    assert!(clusters.is_empty());
 }
 
 #[test]
@@ -195,7 +232,7 @@ fn capped_sink_stops_mining_cooperatively() {
     // Cap below the (single) emitted cluster count: one accepted cluster and
     // the engine must stop by sink, not by exhaustion.
     let sink = CappedSink::new(1);
-    let stream = mine_to_sink(
+    let report = stream(
         &m,
         &params,
         &EngineConfig::new(2),
@@ -204,7 +241,7 @@ fn capped_sink_stops_mining_cooperatively() {
         &sink,
     )
     .unwrap();
-    assert!(stream.stopped_by_sink);
+    assert!(report.stopped_by_sink);
     assert_eq!(sink.into_clusters().len(), 1);
 }
 
@@ -212,9 +249,9 @@ fn capped_sink_stops_mining_cooperatively() {
 fn streaming_sink_delivers_clusters_through_a_channel() {
     let (m, params) = running_example();
     let (sink, rx) = StreamingSink::channel(16);
-    let stream = std::thread::scope(|scope| {
+    let report = std::thread::scope(|scope| {
         let consumer = scope.spawn(move || rx.into_iter().collect::<Vec<_>>());
-        let stream = mine_to_sink(
+        let report = stream(
             &m,
             &params,
             &EngineConfig::new(2),
@@ -227,10 +264,10 @@ fn streaming_sink_delivers_clusters_through_a_channel() {
         let received = consumer.join().unwrap();
         assert_eq!(received.len(), 1);
         assert_eq!(received[0].chain, vec![6, 8, 4, 0, 2]);
-        stream
+        report
     });
-    assert!(!stream.truncated);
-    assert!(!stream.stopped_by_sink);
+    assert!(!report.truncated);
+    assert!(!report.stopped_by_sink);
 }
 
 #[test]
@@ -242,13 +279,13 @@ fn cancellation_interrupts_a_send_blocked_on_a_stalled_receiver() {
     // Without `with_control`, this test would hang forever.
     let (sink, rx) = StreamingSink::channel(0);
     let sink = sink.with_control(control.clone());
-    let stream = std::thread::scope(|scope| {
+    let report = std::thread::scope(|scope| {
         let canceller = control.clone();
         scope.spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
             canceller.cancel();
         });
-        mine_to_sink(
+        stream(
             &m,
             &params,
             &EngineConfig::new(2),
@@ -260,10 +297,10 @@ fn cancellation_interrupts_a_send_blocked_on_a_stalled_receiver() {
     });
     drop(rx);
     assert!(
-        stream.truncated,
+        report.truncated,
         "a blocked send must surface as truncation"
     );
-    assert!(!stream.stopped_by_sink, "cancellation is not a sink stop");
+    assert!(!report.stopped_by_sink, "cancellation is not a sink stop");
 }
 
 /// A stats observer shared by all workers, counting through atomics — the
@@ -296,7 +333,7 @@ impl SyncMineObserver for AtomicCounts {
 fn user_observer_sees_the_same_event_totals_as_the_report() {
     let (m, params) = running_example();
     let counts = AtomicCounts::default();
-    let report = mine_engine_with(
+    let (_, report) = collect(
         &m,
         &params,
         &EngineConfig::new(4),

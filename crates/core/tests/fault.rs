@@ -11,10 +11,47 @@
 use std::sync::Mutex;
 
 use regcluster_core::{
-    mine_engine, mine_engine_checkpointed, CheckpointPlan, CoreError, EngineConfig,
-    MemoryCheckpointSink, MineControl, MiningParams, NoopObserver,
+    finalize_clusters, mine, mine_prepared_roots_to_sink_checkpointed, mine_prepared_to_sink,
+    CheckpointPlan, CheckpointReport, CoreError, EngineConfig, MemoryCheckpointSink, MineControl,
+    Miner, MiningParams, NoopObserver, RegCluster, StreamReport, SyncMineObserver, VecSink,
 };
 use regcluster_datagen::running_example;
+use regcluster_matrix::ExpressionMatrix;
+
+/// Mines every root at `threads` threads, collected and finalized.
+fn mine_threads(
+    m: &ExpressionMatrix,
+    params: &MiningParams,
+    threads: usize,
+) -> Result<Vec<RegCluster>, CoreError> {
+    let miner = Miner::new(m, params)?;
+    let sink = VecSink::new();
+    let config = EngineConfig::new(threads);
+    mine_prepared_to_sink(&miner, &config, &MineControl::new(), &NoopObserver, &sink)?;
+    let mut clusters = sink.into_clusters();
+    finalize_clusters(&mut clusters, params);
+    Ok(clusters)
+}
+
+/// A checkpointed run over every root, collected and finalized.
+fn mine_checkpointed(
+    matrix: &ExpressionMatrix,
+    params: &MiningParams,
+    config: &EngineConfig,
+    observer: &dyn SyncMineObserver,
+    plan: CheckpointPlan<'_>,
+) -> Result<(Vec<RegCluster>, StreamReport, CheckpointReport), CoreError> {
+    let miner = Miner::new(matrix, params)?;
+    let roots: Vec<usize> = (0..matrix.n_conditions()).collect();
+    let sink = VecSink::new();
+    let control = MineControl::new();
+    let (report, ck_report) = mine_prepared_roots_to_sink_checkpointed(
+        &miner, &roots, config, &control, observer, &sink, plan,
+    )?;
+    let mut clusters = sink.into_clusters();
+    finalize_clusters(&mut clusters, params);
+    Ok((clusters, report, ck_report))
+}
 
 /// Failpoint state is process-global; tests arming it take this lock.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -28,7 +65,7 @@ fn injected_worker_panic_surfaces_as_worker_panic_error() {
     let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
     for threads in [1usize, 4] {
         regcluster_failpoint::configure("engine::worker=panic@1").unwrap();
-        let err = mine_engine(&matrix, &params, &EngineConfig::new(threads))
+        let err = mine_threads(&matrix, &params, threads)
             .expect_err("an injected worker panic must surface");
         regcluster_failpoint::clear();
         match err {
@@ -41,8 +78,8 @@ fn injected_worker_panic_surfaces_as_worker_panic_error() {
     }
     // The run shut down cleanly: a fresh un-instrumented run on the same
     // inputs succeeds (no poisoned global state, no stuck threads).
-    let report = mine_engine(&matrix, &params, &EngineConfig::new(4)).unwrap();
-    assert_eq!(report.clusters.len(), 1);
+    let clusters = mine_threads(&matrix, &params, 4).unwrap();
+    assert_eq!(clusters.len(), 1);
 }
 
 #[test]
@@ -52,20 +89,17 @@ fn worker_panic_still_flushes_a_resumable_checkpoint() {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let matrix = running_example();
     let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
-    let reference = mine_engine(&matrix, &params, &EngineConfig::new(2))
-        .unwrap()
-        .clusters;
+    let reference = mine(&matrix, &params).unwrap();
     for threads in [1usize, 2, 4] {
         // Crash a worker a few nodes into the run. The per-node panic
         // containment must restore the consumed node to the frontier, so
         // the final checkpoint loses no subtree.
         regcluster_failpoint::configure("engine::worker=panic@4").unwrap();
         let ck_sink = MemoryCheckpointSink::new();
-        let err = mine_engine_checkpointed(
+        let err = mine_checkpointed(
             &matrix,
             &params,
             &EngineConfig::new(threads),
-            &MineControl::new(),
             &NoopObserver,
             CheckpointPlan::new(&ck_sink),
         )
@@ -82,18 +116,17 @@ fn worker_panic_still_flushes_a_resumable_checkpoint() {
         // Resuming the crash checkpoint completes to the bit-identical
         // golden result — nothing under the panicking node was lost.
         let resume_sink = MemoryCheckpointSink::new();
-        let (report, ck_report) = mine_engine_checkpointed(
+        let (clusters, report, ck_report) = mine_checkpointed(
             &matrix,
             &params,
             &EngineConfig::new(threads),
-            &MineControl::new(),
             &NoopObserver,
             CheckpointPlan::new(&resume_sink).with_resume(ck),
         )
         .expect("resume after crash succeeds");
         assert!(ck_report.resumed);
         assert!(!report.truncated);
-        assert_eq!(report.clusters, reference, "threads = {threads}");
+        assert_eq!(clusters, reference, "threads = {threads}");
     }
 }
 
@@ -105,19 +138,18 @@ fn observer_panic_is_contained_per_node_and_checkpointed() {
     // A panic from *user* code (the observer) rides the same containment
     // path as the failpoint: WorkerPanic plus a flushed final snapshot.
     struct ExplodingObserver;
-    impl regcluster_core::SyncMineObserver for ExplodingObserver {
-        fn cluster_emitted(&self, _cluster: &regcluster_core::RegCluster) {
+    impl SyncMineObserver for ExplodingObserver {
+        fn cluster_emitted(&self, _cluster: &RegCluster) {
             panic!("observer exploded");
         }
     }
     let matrix = running_example();
     let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
     let ck_sink = MemoryCheckpointSink::new();
-    let err = mine_engine_checkpointed(
+    let err = mine_checkpointed(
         &matrix,
         &params,
         &EngineConfig::new(2),
-        &MineControl::new(),
         &ExplodingObserver,
         CheckpointPlan::new(&ck_sink),
     )

@@ -10,12 +10,12 @@
 //! 1. the store file is written as `gen-<N>.rcs` through the ordinary
 //!    [`StoreWriter`](crate::StoreWriter) tmp + fsync + rename discipline
 //!    (so the file is complete or absent, never torn);
-//! 2. `CURRENT` is replaced atomically — the new pointer is written to
-//!    `CURRENT.tmp`, fsynced, renamed over `CURRENT`, and the directory
+//! 2. `CURRENT` is replaced atomically — the new pointer is written to a
+//!    scratch file, fsynced, renamed over `CURRENT`, and the directory
 //!    is fsynced (failpoint site `store::current_publish` sits before the
 //!    rename, the commit point);
-//! 3. stale files are swept: leftover `*.tmp` scratch, **orphaned**
-//!    generations above the pointer (a crash between steps 1 and 2 leaves
+//! 3. stale files are swept: `*.tmp` scratch no live process owns,
+//!    **orphaned** generations above the pointer (a crash between steps 1 and 2 leaves
 //!    one behind — the torn-publish case of
 //!    `crates/store/tests/torn_write.rs`), and generations older than the
 //!    predecessor (readers may still be draining generation `N-1`, so it
@@ -31,12 +31,11 @@
 //! side, where a half-written next generation is indistinguishable from
 //! an orphan.
 
-use std::fs::{self, OpenOptions};
-use std::io::Write;
+use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::error::StoreError;
-use crate::writer::sync_parent_dir;
+use crate::writer::{is_dead_scratch, replace_file};
 
 /// Name of the pointer file inside a generations directory.
 pub const CURRENT_FILE: &str = "CURRENT";
@@ -147,31 +146,23 @@ impl Generations {
                 store.display()
             )));
         }
-        let current = self.dir.join(CURRENT_FILE);
-        let tmp = self.dir.join(format!("{CURRENT_FILE}.tmp"));
-        let mut f = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        writeln!(f, "{generation}")?;
-        f.sync_all()?;
-        drop(f);
-        // The commit point: before the rename the old pointer is intact,
-        // after it the new one is.
-        if let Err(e) = regcluster_failpoint::io("store::current_publish") {
-            let _ = fs::remove_file(&tmp);
-            return Err(e.into());
-        }
-        fs::rename(&tmp, &current)?;
-        sync_parent_dir(&current)?;
+        // The commit point is the rename, with the `store::current_publish`
+        // failpoint just before it: before the rename the old pointer is
+        // intact, after it the new one is.
+        replace_file(
+            &self.dir.join(CURRENT_FILE),
+            format!("{generation}\n").as_bytes(),
+            Some("store::current_publish"),
+        )?;
         self.sweep()?;
         Ok(())
     }
 
-    /// Removes stale files a crash may have left behind: `*.tmp` scratch,
-    /// orphaned generations above the `CURRENT` pointer (written but
-    /// never published), and generations older than the predecessor.
+    /// Removes stale files a crash may have left behind: `*.tmp` scratch
+    /// whose owning process is dead (or that was abandoned by a dropped
+    /// writer), orphaned generations above the `CURRENT` pointer (written
+    /// but never published), and generations older than the predecessor.
+    /// Scratch of a live writer — in this process or another — is kept.
     /// Returns the removed paths. Removal is best-effort — a file that
     /// vanishes or resists deletion is skipped, not an error.
     ///
@@ -192,7 +183,7 @@ impl Generations {
                 continue;
             };
             let stale = if name.ends_with(".tmp") {
-                true
+                is_dead_scratch(name)
             } else if let Some(g) = parse_generation_name(name) {
                 match current {
                     // Orphan above the pointer, or older than the
@@ -276,14 +267,22 @@ mod tests {
         fake_store(&gens, 0);
         gens.publish(0).unwrap();
         // A crash after writing gen-1 but before publishing it, plus
-        // stale scratch files from both writer and pointer.
+        // scratch from a dead writer and pointer, and abandoned scratch.
         fake_store(&gens, 1);
+        let mut child = std::process::Command::new("true").spawn().unwrap();
+        let dead = child.id();
+        child.wait().unwrap();
+        fs::write(dir.join(format!("gen-1.rcs.{dead}.0.tmp")), b"half").unwrap();
+        fs::write(dir.join(format!("CURRENT.{dead}.1.tmp")), b"1").unwrap();
         fs::write(dir.join("gen-1.rcs.tmp"), b"half").unwrap();
-        fs::write(dir.join("CURRENT.tmp"), b"1").unwrap();
+        // A live writer's scratch (this process) survives the sweep.
+        let live = dir.join(format!("gen-2.rcs.{}.0.tmp", std::process::id()));
+        fs::write(&live, b"streaming").unwrap();
         let removed = gens.sweep().unwrap();
-        assert_eq!(removed.len(), 3, "removed: {removed:?}");
+        assert_eq!(removed.len(), 4, "removed: {removed:?}");
         assert!(gens.path_for(0).is_file());
         assert!(!gens.path_for(1).exists());
+        assert!(live.is_file(), "a live writer's scratch is kept");
         assert_eq!(gens.current().unwrap(), Some(0));
         let _ = fs::remove_dir_all(&dir);
     }

@@ -47,7 +47,7 @@ use std::path::{Path, PathBuf};
 
 use crate::error::StoreError;
 use crate::format::{put_u32, put_u64, ByteReader, Fnv64};
-use crate::writer::{sync_parent_dir, tmp_path};
+use crate::writer::replace_file;
 
 /// File magic, first 8 bytes of every journal.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"RCJORNL\0";
@@ -274,24 +274,12 @@ impl Journal {
     /// rename fails.
     pub fn create(path: impl AsRef<Path>) -> Result<Journal, StoreError> {
         let path = path.as_ref().to_path_buf();
-        let tmp = tmp_path(&path);
         let mut header = Vec::with_capacity(JOURNAL_HEADER_LEN);
         header.extend_from_slice(&JOURNAL_MAGIC);
         put_u32(&mut header, JOURNAL_VERSION);
         put_u32(&mut header, 0);
         debug_assert_eq!(header.len(), JOURNAL_HEADER_LEN);
-        let result = (|| -> std::io::Result<()> {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&header)?;
-            f.sync_all()?;
-            drop(f);
-            std::fs::rename(&tmp, &path)?;
-            sync_parent_dir(&path)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result?;
+        replace_file(&path, &header, None)?;
         let file = OpenOptions::new().append(true).open(&path)?;
         Ok(Journal { file, path })
     }

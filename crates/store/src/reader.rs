@@ -99,12 +99,13 @@ impl ClusterStore {
     /// * [`StoreError::Io`] — the file could not be read.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref();
-        // A writer that crashed before its sealing rename leaves
-        // `<path>.tmp` behind; it is never the destination, so clear it
-        // (best effort) rather than letting stale scratch files pile up.
-        let stale = crate::writer::tmp_path(path);
-        if stale.symlink_metadata().is_ok() {
-            let _ = std::fs::remove_file(&stale);
+        // A writer dropped before its sealing rename parks its scratch as
+        // `<path>.tmp`; clear it (best effort) rather than letting abandoned
+        // scratch pile up. Live writers stream to scratch of their own
+        // (`<path>.<pid>.<seq>.tmp`), which a reader never touches.
+        let abandoned = crate::writer::abandoned_path(path);
+        if abandoned.symlink_metadata().is_ok() {
+            let _ = std::fs::remove_file(&abandoned);
         }
         Self::from_bytes(std::fs::read(path)?)
     }

@@ -11,11 +11,12 @@
 //! [`finalize_clusters`](regcluster_core::finalize_clusters)), and writes
 //! the offsets table in that order. Cluster ids in a sealed store are
 //! therefore canonical-order ranks: a store written at 8 threads is
-//! query-identical to one written sequentially.
+//! query-identical to one written at 1 thread.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use regcluster_core::{ClusterSink, MiningParams, RegCluster};
@@ -73,37 +74,197 @@ struct WriterState {
 /// Writes a `.rcs` store as clusters stream in from the mining engine.
 ///
 /// Implements [`ClusterSink`], so it plugs directly into
-/// [`mine_to_sink`](regcluster_core::mine_to_sink): an I/O failure makes
-/// `accept` return `false`, which stops the run cooperatively
-/// (`stopped_by_sink`), and the failure itself is returned by
-/// [`finish`](StoreWriter::finish).
+/// [`mine_prepared_to_sink`](regcluster_core::mine_prepared_to_sink): an
+/// I/O failure makes `accept` return `false`, which stops the run
+/// cooperatively (`stopped_by_sink`), and the failure itself is returned
+/// by [`finish`](StoreWriter::finish).
 ///
 /// # Crash atomicity
 ///
-/// All streaming and sealing I/O goes to `<path>.tmp`; only after the
-/// sealed file is flushed and fsynced does [`finish`](StoreWriter::finish)
-/// rename it over `path` and fsync the parent directory. A crash (or an
-/// injected failpoint, see `docs/ROBUSTNESS.md`) at **any** point
-/// therefore leaves the destination either untouched (the previous
-/// complete store, or absent) or the new complete store — never a torn
-/// file. A writer dropped without `finish` leaves only the `.tmp`, which
-/// [`ClusterStore::open`](crate::ClusterStore::open) clears as a stale
-/// leftover.
+/// All streaming and sealing I/O goes to the writer's own scratch file,
+/// `<path>.<pid>.<seq>.tmp`; only after the sealed file is flushed and
+/// fsynced does [`finish`](StoreWriter::finish) rename it over `path` and
+/// fsync the parent directory. A crash (or an injected failpoint, see
+/// `docs/ROBUSTNESS.md`) at **any** point therefore leaves the destination
+/// either untouched (the previous complete store, or absent) or the new
+/// complete store — never a torn file. Concurrent writers of one path each
+/// stream to their own scratch, so both finish (the last rename wins).
+///
+/// A writer dropped without `finish` parks its scratch as `<path>.tmp`,
+/// which [`ClusterStore::open`](crate::ClusterStore::open) clears as an
+/// abandoned leftover; no live writer ever uses that name. Scratch left by
+/// a crashed process is swept by the next write of the same path (and by
+/// [`Generations::sweep`](crate::Generations::sweep)) once its owner is
+/// dead.
 pub struct StoreWriter {
     state: Mutex<WriterState>,
     final_path: PathBuf,
-    tmp_path: PathBuf,
+    scratch: Scratch,
     gene_names: Vec<String>,
     cond_names: Vec<String>,
     params_json: String,
 }
 
-/// The scratch path a writer streams into before the sealing rename:
-/// `<path>.tmp`, with the suffix appended to the full file name.
-pub(crate) fn tmp_path(path: &Path) -> PathBuf {
+/// One atomic replacement of a destination file: a scratch file of its own
+/// (`<dest>.<pid>.<seq>.tmp`), renamed over the destination once complete.
+/// Every store-crate file that is replaced whole — the `.rcs` writer,
+/// `.rck` saves, the journal rewrite and the `CURRENT` pointer — goes
+/// through this type, so the scratch rules live in one place:
+///
+/// * each write gets a fresh name, so concurrent writers of one
+///   destination (in this process or another) never touch each other's
+///   scratch;
+/// * [`create`](Scratch::create) first removes the destination's scratch
+///   that no live writer owns — `<dest>.tmp`, or `<dest>.<pid>.<seq>.tmp`
+///   of a dead `pid` — so crashed writers leave a bounded amount behind;
+/// * dropped before [`rename_into_place`](Scratch::rename_into_place) (an
+///   error or a panic cut the write short) the scratch file is removed, or,
+///   with [`park_on_drop`](Scratch::park_on_drop) set, parked under the
+///   abandoned-scratch name `<dest>.tmp`.
+pub(crate) struct Scratch {
+    /// The scratch file; `None` once it has been renamed into place.
+    path: Option<PathBuf>,
+    dest: PathBuf,
+    /// Park instead of removing when dropped unfinished.
+    pub(crate) park_on_drop: bool,
+}
+
+impl Scratch {
+    /// Removes `dest`'s dead scratch, then creates (exclusively) a fresh
+    /// scratch file for one write of `dest`, open for reading and writing.
+    pub(crate) fn create(dest: &Path) -> std::io::Result<(Scratch, File)> {
+        sweep_dead_scratch(dest);
+        let seq = SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed);
+        let path = with_suffix(dest, &format!(".{}.{seq}.tmp", std::process::id()));
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&path)?;
+        let scratch = Scratch {
+            path: Some(path),
+            dest: dest.to_path_buf(),
+            park_on_drop: false,
+        };
+        Ok((scratch, file))
+    }
+
+    /// Renames the complete, fsynced scratch file over the destination:
+    /// the commit point. The caller fsyncs the parent directory next.
+    pub(crate) fn rename_into_place(&mut self) -> std::io::Result<()> {
+        if let Some(path) = &self.path {
+            std::fs::rename(path, &self.dest)?;
+        }
+        self.path = None;
+        Ok(())
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if let Some(path) = &self.path {
+            let _ = if self.park_on_drop {
+                std::fs::rename(path, abandoned_path(&self.dest))
+            } else {
+                std::fs::remove_file(path)
+            };
+        }
+    }
+}
+
+/// Replaces `dest` with `bytes` atomically through a [`Scratch`]: write,
+/// fsync, the `commit_point` failpoint (if any), rename, and fsync the
+/// parent directory. On error before the rename `dest` keeps its previous
+/// contents and the scratch file is removed.
+pub(crate) fn replace_file(
+    dest: &Path,
+    bytes: &[u8],
+    commit_point: Option<&'static str>,
+) -> std::io::Result<()> {
+    let (mut scratch, mut file) = Scratch::create(dest)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    if let Some(site) = commit_point {
+        regcluster_failpoint::io(site)?;
+    }
+    scratch.rename_into_place()?;
+    sync_parent_dir(dest)
+}
+
+/// Sequence number making scratch names unique within one process.
+static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// `path` with `suffix` appended to the full file name.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
+    os.push(suffix);
     PathBuf::from(os)
+}
+
+/// Where a writer of `path` dropped without finishing parks its scratch.
+pub(crate) fn abandoned_path(path: &Path) -> PathBuf {
+    with_suffix(path, ".tmp")
+}
+
+/// Splits an owned scratch name `<file>.<pid>.<seq>.tmp` (`pid` and `seq`
+/// all digits) into its destination file name and owning pid.
+fn split_owner(name: &str) -> Option<(&str, u32)> {
+    let (rest, seq) = name.strip_suffix(".tmp")?.rsplit_once('.')?;
+    let (file, pid) = rest.rsplit_once('.')?;
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    if !(digits(seq) && digits(pid)) {
+        return None;
+    }
+    Some((file, pid.parse().ok()?))
+}
+
+/// Whether process `pid` may still be running. Only Linux can tell (through
+/// `/proc`); elsewhere every owner counts as alive, so no scratch is ever
+/// swept out from under a live writer. Pids are host-local: writers on
+/// other hosts must not share a store directory.
+fn pid_alive(pid: u32) -> bool {
+    pid == std::process::id()
+        || !cfg!(target_os = "linux")
+        || Path::new("/proc").join(pid.to_string()).exists()
+}
+
+/// Whether the file `name` is scratch no live writer owns: a `.tmp` file
+/// that carries no owner (abandoned) or whose owning process is dead.
+pub(crate) fn is_dead_scratch(name: &str) -> bool {
+    name.ends_with(".tmp") && split_owner(name).is_none_or(|(_, pid)| !pid_alive(pid))
+}
+
+/// Whether the file `name` is dead scratch of the destination file `dest`:
+/// exactly `<dest>.tmp`, or `<dest>.<pid>.<seq>.tmp` with a dead `pid`.
+fn is_dead_scratch_of(dest: &str, name: &str) -> bool {
+    name.strip_prefix(dest) == Some(".tmp")
+        || split_owner(name).is_some_and(|(file, pid)| file == dest && !pid_alive(pid))
+}
+
+/// Removes the scratch files of `path` that no live writer owns (crash
+/// leftovers and abandoned scratch), best effort.
+fn sweep_dead_scratch(path: &Path) {
+    let (Some(dir), Some(file)) = (path.parent(), path.file_name().and_then(|f| f.to_str())) else {
+        return;
+    };
+    let dir = if dir.as_os_str().is_empty() {
+        Path::new(".")
+    } else {
+        dir
+    };
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        if name
+            .to_str()
+            .is_some_and(|name| is_dead_scratch_of(file, name))
+        {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
 }
 
 /// Fsyncs the directory containing `path` so a just-renamed entry is
@@ -122,9 +283,10 @@ pub(crate) fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
 
 impl StoreWriter {
     /// Prepares to write the store that will land at `path`, streaming
-    /// into `<path>.tmp` until [`finish`](StoreWriter::finish) renames it
-    /// into place. An existing complete store at `path` stays intact (and
-    /// readable) until that rename.
+    /// into a scratch file of its own until [`finish`](StoreWriter::finish)
+    /// renames it into place. An existing complete store at `path` stays
+    /// intact (and readable) until that rename. Scratch of `path` that no
+    /// live writer owns is removed first.
     ///
     /// `gene_names` / `cond_names` are the matrix dictionaries: member and
     /// chain ids of every accepted cluster must index into them. `params`
@@ -257,13 +419,8 @@ impl StoreWriter {
         params_json: String,
     ) -> Result<Self, StoreError> {
         let final_path = path.to_path_buf();
-        let tmp = tmp_path(&final_path);
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
+        let (mut scratch, file) = Scratch::create(&final_path)?;
+        scratch.park_on_drop = true;
         let mut file = BufWriter::new(file);
         // Placeholder header; patched by `finish` once the table offset and
         // checksum are known. Until then the magic is zeroed, so a reader
@@ -277,8 +434,8 @@ impl StoreWriter {
                 record_buf: Vec::new(),
                 error: None,
             }),
+            scratch,
             final_path,
-            tmp_path: tmp,
             gene_names: gene_names.to_vec(),
             cond_names: cond_names.to_vec(),
             params_json,
@@ -442,20 +599,12 @@ impl StoreWriter {
     /// # Errors
     ///
     /// The first write failure recorded during streaming, or any failure
-    /// while sealing. On error the scratch `.tmp` is removed (best
-    /// effort) and the destination is left untouched.
-    pub fn finish(self) -> Result<StoreSummary, StoreError> {
-        let tmp = self.tmp_path.clone();
-        let result = self.finish_inner();
-        if result.is_err() {
-            // Best effort: if the failure happened after the rename the
-            // tmp is already gone and this is a no-op.
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
-    }
-
-    fn finish_inner(self) -> Result<StoreSummary, StoreError> {
+    /// while sealing. On error the scratch file is removed (best effort)
+    /// and the destination is left untouched.
+    pub fn finish(mut self) -> Result<StoreSummary, StoreError> {
+        // Finishing, not abandoned: an error removes the scratch file
+        // instead of parking it.
+        self.scratch.park_on_drop = false;
         let state = self
             .state
             .into_inner()
@@ -617,7 +766,7 @@ impl StoreWriter {
         // untouched; everything at or after it leaves the new complete
         // store in place.
         regcluster_failpoint::io("store::rename")?;
-        std::fs::rename(&self.tmp_path, &self.final_path)?;
+        self.scratch.rename_into_place()?;
         regcluster_failpoint::io("store::dir_sync")?;
         sync_parent_dir(&self.final_path)?;
 

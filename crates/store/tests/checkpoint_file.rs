@@ -7,10 +7,12 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Mutex;
 
 use regcluster_core::{
-    mine_engine, mine_engine_checkpointed, CheckpointPlan, CheckpointSink, EngineConfig,
-    MemoryCheckpointSink, MineControl, MiningParams, NoopObserver, RegCluster, SyncMineObserver,
+    finalize_clusters, mine, mine_prepared_roots_to_sink_checkpointed, CheckpointPlan,
+    CheckpointReport, CheckpointSink, CoreError, EngineConfig, MemoryCheckpointSink, MineControl,
+    Miner, MiningParams, NoopObserver, RegCluster, StreamReport, SyncMineObserver, VecSink,
 };
 use regcluster_datagen::running_example;
+use regcluster_matrix::ExpressionMatrix;
 use regcluster_store::{read_checkpoint, CheckpointFile, StoreError, CHECKPOINT_VERSION};
 
 /// Failpoint state is process-global; tests arming it take this lock.
@@ -33,6 +35,26 @@ impl SyncMineObserver for CancelAfterEmissions {
     }
 }
 
+/// A checkpointed run over every root, collected and finalized.
+fn mine_checkpointed(
+    matrix: &ExpressionMatrix,
+    params: &MiningParams,
+    config: &EngineConfig,
+    control: &MineControl,
+    observer: &dyn SyncMineObserver,
+    plan: CheckpointPlan<'_>,
+) -> Result<(Vec<RegCluster>, StreamReport, CheckpointReport), CoreError> {
+    let miner = Miner::new(matrix, params)?;
+    let roots: Vec<usize> = (0..matrix.n_conditions()).collect();
+    let sink = VecSink::new();
+    let (report, ck_report) = mine_prepared_roots_to_sink_checkpointed(
+        &miner, &roots, config, control, observer, &sink, plan,
+    )?;
+    let mut clusters = sink.into_clusters();
+    finalize_clusters(&mut clusters, params);
+    Ok((clusters, report, ck_report))
+}
+
 fn test_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("regcluster-rck-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -48,7 +70,7 @@ fn interrupt_run(sink: &dyn CheckpointSink) {
         control: control.clone(),
         budget: AtomicI64::new(1),
     };
-    let (report, ck_report) = mine_engine_checkpointed(
+    let (_, report, ck_report) = mine_checkpointed(
         &matrix,
         &params,
         &EngineConfig::new(2),
@@ -67,9 +89,7 @@ fn rck_file_roundtrips_and_resumes_bit_identically() {
     let path = dir.join("run.rck");
     let matrix = running_example();
     let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
-    let reference = mine_engine(&matrix, &params, &EngineConfig::new(2))
-        .unwrap()
-        .clusters;
+    let reference = mine(&matrix, &params).unwrap();
 
     // Interrupt a run that checkpoints straight to disk.
     let file_sink = CheckpointFile::new(&path);
@@ -93,7 +113,7 @@ fn rck_file_roundtrips_and_resumes_bit_identically() {
 
     // Resuming the on-disk snapshot completes to the golden result.
     let resume_sink = CheckpointFile::new(dir.join("resume.rck"));
-    let (report, ck_report) = mine_engine_checkpointed(
+    let (clusters, report, ck_report) = mine_checkpointed(
         &matrix,
         &params,
         &EngineConfig::new(4),
@@ -104,7 +124,7 @@ fn rck_file_roundtrips_and_resumes_bit_identically() {
     .unwrap();
     assert!(ck_report.resumed);
     assert!(!report.truncated);
-    assert_eq!(report.clusters, reference);
+    assert_eq!(clusters, reference);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -179,10 +199,56 @@ fn crashed_save_leaves_previous_checkpoint_intact() {
     // Destination untouched, still loadable, and no scratch file leaked.
     assert_eq!(std::fs::read(&path).unwrap(), old);
     assert!(read_checkpoint(&path).is_ok());
-    assert!(!dir.join("run.rck.tmp").exists());
+    let scratch: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.ends_with(".tmp"))
+        .collect();
+    assert!(scratch.is_empty(), "leaked scratch: {scratch:?}");
 
     // A later save succeeds and replaces the file.
     again.save(&snapshot).unwrap();
     assert!(read_checkpoint(&path).is_ok());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_save_removes_scratch_left_by_a_dead_writer() {
+    let _guard = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let dir = test_dir("dead-scratch");
+    let path = dir.join("run.rck");
+    interrupt_run(&CheckpointFile::new(&path));
+    let snapshot = read_checkpoint(&path).unwrap();
+
+    // A process that has exited: its scratch is a crash leftover.
+    let mut child = std::process::Command::new("true").spawn().unwrap();
+    let dead = child.id();
+    child.wait().unwrap();
+    let live = std::process::id();
+    let swept = [format!("run.rck.{dead}.0.tmp"), "run.rck.tmp".to_string()];
+    let kept = [
+        // A live writer of this path (this process).
+        format!("run.rck.{live}.999999.tmp"),
+        // Scratch of other destinations, even with a dead owner.
+        format!("run.{dead}.0.tmp"),
+        format!("run.rck.x.{dead}.0.tmp"),
+        "run.tmp".to_string(),
+        // Not of the `<pid>.<seq>.tmp` shape.
+        format!("run.rck.{dead}.x.tmp"),
+    ];
+    for name in swept.iter().chain(&kept) {
+        std::fs::write(dir.join(name), b"half").unwrap();
+    }
+
+    CheckpointFile::new(&path).save(&snapshot).unwrap();
+    assert!(read_checkpoint(&path).is_ok());
+    for name in &swept {
+        assert!(!dir.join(name).exists(), "{name} must be swept");
+    }
+    for name in &kept {
+        assert!(dir.join(name).exists(), "{name} must be kept");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,12 +1,13 @@
 //! Lossless round-trip guarantees of the store: write → read reproduces the
-//! golden cluster sets bit-identically, sequentially and streamed from the
-//! engine at 1–8 threads, and every index agrees with a linear scan.
+//! golden cluster sets bit-identically, collected and finalized or streamed
+//! from the engine at 1–8 threads, and every index agrees with a linear
+//! scan.
 
 use std::path::PathBuf;
 
 use regcluster_core::{
-    mine, mine_to_sink, ClusterSink, EngineConfig, MineControl, MiningParams, NoopObserver,
-    RegCluster, SplitStrategy,
+    mine, mine_prepared_to_sink, ClusterSink, EngineConfig, MineControl, Miner, MiningParams,
+    NoopObserver, RegCluster, SplitStrategy,
 };
 use regcluster_datagen::{generate, running_example, PatternKind, SyntheticConfig};
 use regcluster_matrix::ExpressionMatrix;
@@ -96,23 +97,18 @@ fn synthetic_roundtrips_bit_identically_to_golden() {
 #[test]
 fn engine_streamed_store_matches_vecsink_at_every_thread_count() {
     let (m, params) = synthetic_100x30();
-    // The canonical collect-path result (== finalized VecSink output).
+    // The canonical finalized result.
     let expected = mine(&m, &params).unwrap();
+    let miner = Miner::new(&m, &params).unwrap();
     for threads in 1..=8usize {
         for split in [SplitStrategy::WorkStealing, SplitStrategy::StaticRoots] {
             let path = tmp(&format!("stream-{threads}-{split:?}.rcs"));
             let writer =
                 StoreWriter::create(&path, m.gene_names(), m.condition_names(), &params).unwrap();
             let config = EngineConfig::new(threads).with_split(split);
-            let report = mine_to_sink(
-                &m,
-                &params,
-                &config,
-                &MineControl::new(),
-                &NoopObserver,
-                &writer,
-            )
-            .unwrap();
+            let report =
+                mine_prepared_to_sink(&miner, &config, &MineControl::new(), &NoopObserver, &writer)
+                    .unwrap();
             assert!(!report.truncated && !report.stopped_by_sink);
             writer.finish().unwrap();
 
@@ -120,7 +116,7 @@ fn engine_streamed_store_matches_vecsink_at_every_thread_count() {
             assert_eq!(
                 read_all(&store),
                 expected,
-                "store drifted from collect path (threads = {threads}, {split:?})"
+                "store drifted from mine() (threads = {threads}, {split:?})"
             );
         }
     }

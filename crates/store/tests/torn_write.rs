@@ -32,6 +32,15 @@ fn write_store(
     w.finish().map(|_| ())
 }
 
+/// Scratch files (`*.tmp`) left in `dir`.
+fn scratch_files(dir: &Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.ends_with(".tmp"))
+        .collect()
+}
+
 fn stored_clusters(path: &Path) -> Vec<RegCluster> {
     let store = ClusterStore::open(path).expect("destination must open cleanly");
     (0..store.n_clusters())
@@ -109,8 +118,9 @@ fn killing_the_writer_at_every_failpoint_leaves_old_or_new_complete_store() {
             // scenario so both outcomes stay distinguishable.
             write_store(&path, &old_set, &old_params).unwrap();
         }
-        assert!(
-            !dir.join("victim.rcs.tmp").exists(),
+        assert_eq!(
+            scratch_files(&dir),
+            Vec::<String>::new(),
             "{scenario}: failed writes must not leak scratch files"
         );
     }
@@ -155,7 +165,9 @@ fn torn_publish_keeps_the_old_generation_and_sweeps_the_orphan_later() {
     assert_eq!(gens.current().unwrap(), Some(0));
     assert_eq!(stored_clusters(&gens.path_for(0)), set);
     assert!(
-        !dir.join(format!("{CURRENT_FILE}.tmp")).exists(),
+        !scratch_files(&dir)
+            .iter()
+            .any(|name| name.starts_with(CURRENT_FILE)),
         "failed publish must not leak the pointer scratch file"
     );
     assert!(gens.path_for(1).is_file(), "orphan left for the sweep");

@@ -3,8 +3,8 @@
 //! thread-safe observer.
 //!
 //! Mines a mid-sized synthetic dataset on four worker threads, shows that
-//! the result is bit-identical to the sequential miner, and demonstrates the
-//! cancellation path by re-running under an already-expired deadline.
+//! the result is bit-identical to the 1-thread [`mine`], and demonstrates
+//! the cancellation path by re-running under an already-expired deadline.
 //!
 //! Run with `cargo run --release --example parallel_mining`.
 
@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use regcluster::core::{
-    mine, mine_engine, mine_engine_with, EngineConfig, MineControl, MiningParams, RegCluster,
-    SyncMineObserver,
+    finalize_clusters, mine, mine_prepared_to_sink, EngineConfig, MineControl, Miner, MiningParams,
+    RegCluster, SyncMineObserver, VecSink,
 };
 use regcluster::datagen::{generate, SyntheticConfig};
 
@@ -36,58 +36,43 @@ fn main() {
     })
     .expect("feasible configuration");
     let params = MiningParams::new(5, 6, 0.1, 0.01).expect("valid parameters");
+    // The miner holds the per-gene models; every run below reuses it.
+    let miner = Miner::new(&data.matrix, &params).expect("valid parameters");
+    let config = EngineConfig::new(4);
 
-    // The engine's output is bit-identical to the sequential miner at any
-    // thread count, so parallelism is a pure implementation detail.
-    let sequential = mine(&data.matrix, &params).expect("mining succeeds");
-    let report =
-        mine_engine(&data.matrix, &params, &EngineConfig::new(4)).expect("engine mining succeeds");
-    assert_eq!(report.clusters, sequential);
-    println!(
-        "4 threads found the same {} reg-clusters as the sequential miner \
-         ({} enumeration nodes)",
-        report.clusters.len(),
-        report.stats.nodes
-    );
-
-    // Observers are shared by all workers; per-worker statistics are merged
-    // at join, so the report's totals match a sequential run.
+    // Output is bit-identical at any thread count once finalized, so
+    // parallelism is a pure implementation detail. Observers are shared by
+    // all workers; per-worker statistics are merged at join.
+    let one_thread = mine(&data.matrix, &params).expect("mining succeeds");
     let counter = EmissionCounter::default();
-    let report = mine_engine_with(
-        &data.matrix,
-        &params,
-        &EngineConfig::new(4),
-        &MineControl::new(),
-        &counter,
-    )
-    .expect("engine mining succeeds");
+    let sink = VecSink::new();
+    let report = mine_prepared_to_sink(&miner, &config, &MineControl::new(), &counter, &sink)
+        .expect("engine mining succeeds");
+    let mut clusters = sink.into_clusters();
+    finalize_clusters(&mut clusters, &params);
+    assert_eq!(clusters, one_thread);
     assert_eq!(
         counter.emitted.load(Ordering::Relaxed),
         report.stats.emitted
     );
     println!(
-        "shared observer saw every emission: {} clusters",
+        "4 threads found the same {} reg-clusters as 1 thread \
+         ({} enumeration nodes); the shared observer saw all {} emissions",
+        clusters.len(),
+        report.stats.nodes,
         counter.emitted.load(Ordering::Relaxed)
     );
 
     // A wall-clock deadline stops the run cooperatively: the report is
-    // flagged truncated instead of returning an error, and `into_result`
-    // converts that flag into `CoreError::Cancelled` for callers that
-    // require complete output.
+    // flagged truncated instead of returning an error, and the sink holds
+    // whatever was found before the stop.
     let control = MineControl::with_deadline(Duration::ZERO);
-    let report = mine_engine_with(
-        &data.matrix,
-        &params,
-        &EngineConfig::new(4),
-        &control,
-        &EmissionCounter::default(),
-    )
-    .expect("an expired deadline is not an engine error");
+    let sink = VecSink::new();
+    let report = mine_prepared_to_sink(&miner, &config, &control, &counter, &sink)
+        .expect("an expired deadline is not an engine error");
     assert!(report.truncated);
     println!(
-        "expired deadline: truncated partial result with {} clusters, \
-         into_result() = {:?}",
-        report.clusters.len(),
-        report.into_result().expect_err("truncated reports reject")
+        "expired deadline: truncated partial result with {} clusters",
+        sink.into_clusters().len()
     );
 }

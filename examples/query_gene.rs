@@ -1,16 +1,14 @@
 //! Query mining: "which co-regulation patterns involve *my* gene?"
 //!
 //! The typical biologist's entry point is one gene of interest, not the
-//! whole matrix. `mine_containing` prunes the enumeration the moment a
-//! subtree loses the query gene, then the optional post-processing merges
-//! redundant chain variants so the answer reads as a handful of distinct
-//! patterns. Mining statistics show how much work the query pruning saves.
+//! whole matrix. Mine once, keep the clusters that contain the gene, then
+//! let the optional post-processing merge redundant chain variants so the
+//! answer reads as a handful of distinct patterns.
 //!
 //! Run with `cargo run --release --example query_gene`.
 
-use regcluster::core::miner::Miner;
 use regcluster::core::postprocess::deduplicate_by_genes;
-use regcluster::core::{mine_containing, MiningParams, MiningStats};
+use regcluster::core::{mine, MiningParams};
 use regcluster::datagen::{generate, PatternKind, SyntheticConfig};
 
 fn main() {
@@ -42,32 +40,11 @@ fn main() {
     let min_c = data.planted.iter().map(|p| p.n_conditions()).min().unwrap();
     let params = MiningParams::new(min_g, min_c, 0.1, 0.01).expect("valid");
 
-    // Full mining vs query mining, with effort statistics for both.
-    let miner = Miner::new(&data.matrix, &params).expect("valid");
-    let mut full_stats = MiningStats::default();
-    let all = miner.mine_all(&mut full_stats);
-    let mut query_stats = MiningStats::default();
-    let mine_queried = miner.mine_containing(gene, &mut query_stats);
-
-    println!("\nfull mining:  {}", full_stats.summary());
-    println!("query mining: {}", query_stats.summary());
-    println!(
-        "({:.1}× fewer nodes, {:.1}× fewer coherence checks)",
-        full_stats.nodes as f64 / query_stats.nodes.max(1) as f64,
-        full_stats.pruned_coherence as f64 / query_stats.pruned_coherence.max(1) as f64
-    );
-
-    let queried = mine_containing(&data.matrix, &params, gene).expect("valid gene");
-    assert_eq!(queried, mine_queried);
-    assert!(queried.iter().all(|c| c.genes().contains(&gene)));
-    assert_eq!(
-        queried,
-        all.iter()
-            .filter(|c| c.genes().contains(&gene))
-            .cloned()
-            .collect::<Vec<_>>(),
-        "query mining equals filtered full mining"
-    );
+    let all = mine(&data.matrix, &params).expect("valid");
+    let queried: Vec<_> = all
+        .into_iter()
+        .filter(|c| c.genes().binary_search(&gene).is_ok())
+        .collect();
 
     // Collapse chain variants over the same gene sets.
     let distinct = deduplicate_by_genes(&queried);

@@ -19,8 +19,8 @@ done
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace (every crate's unit, integration and doc tests)"
+cargo test -q --workspace
 
 echo "==> store durability (round-trip + corruption)"
 cargo test -q -p regcluster-store --test roundtrip --test corruption

@@ -1,11 +1,13 @@
 //! Allocation regression tests for the enumeration core.
 //!
-//! The refactored miner draws all per-node working memory from a
-//! [`MineWorkspace`], so once the workspace buffers have grown to their
-//! high-water marks a mining run performs **zero heap allocations per
-//! enumeration node** — the only remaining allocations are for the clusters
-//! it actually emits. These tests pin that property down with a counting
-//! global allocator:
+//! The engine draws all per-node working memory from buffers its [`Miner`]
+//! keeps between runs, so once those buffers have grown to their high-water
+//! marks a second 1-thread run on the same miner performs **zero heap
+//! allocations per enumeration node** — the only remaining allocations are
+//! for the clusters it actually emits. At one thread the calling thread is
+//! the only worker, so the thread-local counter below sees every
+//! allocation of the run. These tests pin that property down with a
+//! counting global allocator:
 //!
 //! * warmed runs of workloads that emit nothing must allocate **exactly
 //!   zero** times, even though they explore hundreds of nodes;
@@ -22,8 +24,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use regcluster_core::{
-    metrics::MINE_NODES_METRIC, MetricsObserver, MineWorkspace, Miner, MiningParams, MiningStats,
-    RegulationThreshold,
+    metrics::MINE_NODES_METRIC, mine_prepared_to_sink, EngineConfig, MetricsObserver, MineControl,
+    Miner, MiningParams, MiningStats, NoopObserver, RegulationThreshold, StreamReport,
+    SyncMineObserver, VecSink,
 };
 use regcluster_datagen::{generate, running_example, PatternKind, SyntheticConfig};
 use regcluster_matrix::ExpressionMatrix;
@@ -74,7 +77,7 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// Upper bound on allocator calls per emitted cluster in a warmed run:
 /// the `RegCluster` materialization (chain + member vectors), the interned
 /// dedup key (arena + bucket growth) and amortized growth of the output
-/// vector. Deliberately tight — a single stray allocation on the per-node
+/// sink. Deliberately tight — a single stray allocation on the per-node
 /// path would blow through it on any workload with more nodes than
 /// clusters.
 const PER_EMISSION_BUDGET: u64 = 16;
@@ -98,20 +101,30 @@ fn synthetic_100x30() -> ExpressionMatrix {
     generate(&cfg).expect("config is feasible").matrix
 }
 
-/// Warms `workspace` with one full run, then measures a second run.
-/// Returns `(allocs, stats_of_measured_run)`.
-fn warmed_run(
-    matrix: &ExpressionMatrix,
-    params: &MiningParams,
-    workspace: &mut MineWorkspace,
-) -> (u64, MiningStats) {
+/// One 1-thread engine run over every root of `miner`, collecting into a
+/// fresh sink. The control is made by the caller: its `Arc` would be the
+/// window's one allocation otherwise.
+fn run_once(
+    miner: &Miner<'_>,
+    control: &MineControl,
+    observer: &dyn SyncMineObserver,
+) -> (StreamReport, VecSink) {
+    let sink = VecSink::new();
+    let report = mine_prepared_to_sink(miner, &EngineConfig::new(1), control, observer, &sink)
+        .expect("engine succeeds");
+    (report, sink)
+}
+
+/// Warms a fresh [`Miner`] with one full 1-thread run, then measures a
+/// second 1-thread run on the same miner. Returns
+/// `(allocs, stats_of_measured_run)`.
+fn warmed_run(matrix: &ExpressionMatrix, params: &MiningParams) -> (u64, MiningStats) {
     let miner = Miner::new(matrix, params).expect("valid mining input");
-    let mut warmup = MiningStats::default();
-    let _ = miner.mine_all_with(workspace, &mut warmup);
-    let mut stats = MiningStats::default();
-    let (allocs, clusters) = count_allocs(|| miner.mine_all_with(workspace, &mut stats));
-    drop(clusters); // deallocation is free to happen outside the window
-    (allocs, stats)
+    let control = MineControl::new();
+    let _ = run_once(&miner, &control, &NoopObserver);
+    let (allocs, (report, sink)) = count_allocs(|| run_once(&miner, &control, &NoopObserver));
+    drop(sink); // deallocation is free to happen outside the window
+    (allocs, report.stats)
 }
 
 #[test]
@@ -120,7 +133,7 @@ fn warmed_zero_emission_run_allocates_nothing_running_example() {
     // the search explores its full tree but emits nothing.
     let m = running_example();
     let params = MiningParams::new(3, 6, 0.15, 0.1).unwrap();
-    let (allocs, stats) = warmed_run(&m, &params, &mut MineWorkspace::new());
+    let (allocs, stats) = warmed_run(&m, &params);
     assert!(stats.nodes > 0, "workload must explore nodes");
     assert_eq!(stats.emitted, 0, "workload must emit nothing");
     assert_eq!(
@@ -138,7 +151,7 @@ fn warmed_zero_emission_run_allocates_nothing_synthetic() {
     // per-gene extensibility pruning and defeat the test.
     let m = synthetic_100x30();
     let params = MiningParams::new(4, 8, 0.1, 0.05).unwrap();
-    let (allocs, stats) = warmed_run(&m, &params, &mut MineWorkspace::new());
+    let (allocs, stats) = warmed_run(&m, &params);
     assert!(stats.nodes > 100, "workload must explore many nodes");
     assert_eq!(stats.emitted, 0, "workload must emit nothing");
     assert_eq!(
@@ -158,17 +171,17 @@ fn warmed_zero_emission_run_with_metrics_observer_allocates_nothing() {
     let params = MiningParams::new(4, 8, 0.1, 0.05).unwrap();
     let miner = Miner::new(&m, &params).expect("valid mining input");
     let registry = MetricsRegistry::new();
-    let mut observer = MetricsObserver::register(&registry);
-    let mut workspace = MineWorkspace::new();
-    let _ = miner.mine_all_with(&mut workspace, &mut observer);
+    let observer = MetricsObserver::register(&registry);
+    let control = MineControl::new();
+    let _ = run_once(&miner, &control, &observer);
     let nodes_handle = registry.counter(
         MINE_NODES_METRIC,
         "Enumeration-tree nodes entered (partial representative chains expanded).",
         &[],
     );
     let nodes_before = nodes_handle.get();
-    let (allocs, clusters) = count_allocs(|| miner.mine_all_with(&mut workspace, &mut observer));
-    drop(clusters);
+    let (allocs, (_, sink)) = count_allocs(|| run_once(&miner, &control, &observer));
+    drop(sink);
     let nodes_recorded = nodes_handle.get() - nodes_before;
     assert!(nodes_recorded > 100, "observer must have seen many nodes");
     assert_eq!(
@@ -182,7 +195,7 @@ fn warmed_zero_emission_run_with_metrics_observer_allocates_nothing() {
 fn warmed_emitting_run_allocates_only_per_cluster_running_example() {
     let m = running_example();
     let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
-    let (allocs, stats) = warmed_run(&m, &params, &mut MineWorkspace::new());
+    let (allocs, stats) = warmed_run(&m, &params);
     assert!(stats.emitted > 0, "workload must emit clusters");
     assert!(
         allocs <= PER_EMISSION_BUDGET * stats.emitted as u64,
@@ -197,7 +210,7 @@ fn warmed_emitting_run_allocates_only_per_cluster_running_example() {
 fn warmed_emitting_run_allocates_only_per_cluster_synthetic() {
     let m = synthetic_100x30();
     let params = MiningParams::new(4, 4, 0.1, 0.05).unwrap();
-    let (allocs, stats) = warmed_run(&m, &params, &mut MineWorkspace::new());
+    let (allocs, stats) = warmed_run(&m, &params);
     assert!(stats.emitted > 100, "workload must emit many clusters");
     assert!(
         allocs <= PER_EMISSION_BUDGET * stats.emitted as u64,
@@ -235,7 +248,7 @@ fn warmed_zero_emission_run_allocates_nothing_with_failpoints_linked() {
     regcluster_failpoint::clear();
     let m = running_example();
     let params = MiningParams::new(3, 6, 0.15, 0.1).unwrap();
-    let (allocs, stats) = warmed_run(&m, &params, &mut MineWorkspace::new());
+    let (allocs, stats) = warmed_run(&m, &params);
     assert!(stats.nodes > 0, "workload must explore nodes");
     assert_eq!(
         allocs, 0,
@@ -267,7 +280,7 @@ fn duplicate_probes_allocate_nothing_beyond_fresh_emissions() {
         .unwrap()
         .with_threshold(RegulationThreshold::Absolute(2.0))
         .unwrap();
-    let (allocs, stats) = warmed_run(&m, &params, &mut MineWorkspace::new());
+    let (allocs, stats) = warmed_run(&m, &params);
     assert!(
         stats.pruned_duplicate > 0,
         "duplicate pruning must fire: {stats:?}"

@@ -2,8 +2,9 @@
 //!
 //! The JSON files under `tests/golden/` hold the exact cluster sets produced
 //! by the miner before the allocation-free enumeration refactor. Every
-//! refactor of the hot path must keep the output bit-identical — sequential
-//! and through the engine at thread counts 1–8 under both split strategies.
+//! refactor of the hot path must keep the output bit-identical — through
+//! [`mine`] and through the engine at thread counts 1–8 under both split
+//! strategies, on a fresh and on a warm [`Miner`].
 //!
 //! Regenerate (only when the *model* legitimately changes, never to paper
 //! over a miner regression) with:
@@ -14,7 +15,10 @@
 
 use std::path::PathBuf;
 
-use regcluster_core::{mine, mine_engine, EngineConfig, MiningParams, RegCluster, SplitStrategy};
+use regcluster_core::{
+    finalize_clusters, mine, mine_prepared_to_sink, EngineConfig, MineControl, Miner, MiningParams,
+    NoopObserver, RegCluster, SplitStrategy, VecSink,
+};
 use regcluster_datagen::{generate, running_example, PatternKind, SyntheticConfig};
 use regcluster_matrix::ExpressionMatrix;
 
@@ -44,10 +48,10 @@ fn synthetic_100x30() -> ExpressionMatrix {
 }
 
 fn check_against_golden(name: &str, matrix: &ExpressionMatrix, params: &MiningParams) {
-    let seq = mine(matrix, params).expect("sequential mining succeeds");
+    let one = mine(matrix, params).expect("1-thread mining succeeds");
     let path = golden_path(name);
     if std::env::var_os("REGCLUSTER_REGEN_GOLDEN").is_some() {
-        let json = serde_json::to_string_pretty(&seq).expect("clusters serialize");
+        let json = serde_json::to_string_pretty(&one).expect("clusters serialize");
         std::fs::create_dir_all(path.parent().unwrap()).expect("golden dir");
         std::fs::write(&path, json).expect("golden file written");
     }
@@ -62,16 +66,33 @@ fn check_against_golden(name: &str, matrix: &ExpressionMatrix, params: &MiningPa
         !golden.is_empty(),
         "golden workload {name} must be non-trivial"
     );
-    assert_eq!(seq, golden, "sequential output drifted from golden {name}");
+    assert_eq!(one, golden, "mine() output drifted from golden {name}");
+    // One miner across every run: each run after the first starts from the
+    // buffers and dedup shards the previous one left behind.
+    let warm = Miner::new(matrix, params).expect("valid mining input");
     for threads in 1..=8usize {
         for split in [SplitStrategy::WorkStealing, SplitStrategy::StaticRoots] {
             let config = EngineConfig::new(threads).with_split(split);
-            let report = mine_engine(matrix, params, &config).expect("engine succeeds");
-            assert!(!report.truncated);
-            assert_eq!(
-                report.clusters, golden,
-                "engine output drifted from golden {name} (threads = {threads}, {split:?})"
-            );
+            let fresh = Miner::new(matrix, params).expect("valid mining input");
+            for (miner, kind) in [(&fresh, "fresh"), (&warm, "warm")] {
+                let sink = VecSink::new();
+                let report = mine_prepared_to_sink(
+                    miner,
+                    &config,
+                    &MineControl::new(),
+                    &NoopObserver,
+                    &sink,
+                )
+                .expect("engine succeeds");
+                assert!(!report.truncated);
+                let mut clusters = sink.into_clusters();
+                finalize_clusters(&mut clusters, params);
+                assert_eq!(
+                    clusters, golden,
+                    "engine output drifted from golden {name} \
+                     (threads = {threads}, {split:?}, {kind} miner)"
+                );
+            }
         }
     }
 }

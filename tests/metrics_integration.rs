@@ -4,9 +4,30 @@
 //! counter — which `MiningStats` deliberately does not carry — must fire
 //! on a workload whose chains die of unreachable MinC.
 
-use regcluster_core::{mine_with_observer, MetricsObserver, MiningParams, MiningStats};
+use regcluster_core::{
+    finalize_clusters, mine, mine_prepared_to_sink, EngineConfig, MetricsObserver, MineControl,
+    Miner, MiningParams, MiningStats, RegCluster, SyncMineObserver, VecSink,
+};
 use regcluster_datagen::running_example;
+use regcluster_matrix::ExpressionMatrix;
 use regcluster_obs::MetricsRegistry;
+
+/// A 1-thread engine run reporting to `observer`: the finalized clusters
+/// and the engine's own stats.
+fn mine_observed(
+    m: &ExpressionMatrix,
+    params: &MiningParams,
+    observer: &dyn SyncMineObserver,
+) -> (Vec<RegCluster>, MiningStats) {
+    let miner = Miner::new(m, params).unwrap();
+    let sink = VecSink::new();
+    let config = EngineConfig::new(1);
+    let report = mine_prepared_to_sink(&miner, &config, &MineControl::new(), observer, &sink)
+        .expect("engine succeeds");
+    let mut clusters = sink.into_clusters();
+    finalize_clusters(&mut clusters, params);
+    (clusters, report.stats)
+}
 
 const NODES_HELP: &str = "Enumeration-tree nodes entered (partial representative chains expanded).";
 const EMITTED_HELP: &str = "Validated reg-clusters emitted by the enumeration.";
@@ -17,13 +38,10 @@ fn metrics_observer_agrees_with_mining_stats() {
     let m = running_example();
     let params = MiningParams::new(3, 5, 0.15, 0.1).unwrap();
 
-    let mut stats = MiningStats::default();
-    let from_stats = mine_with_observer(&m, &params, &mut stats).unwrap();
-
     let registry = MetricsRegistry::new();
-    let mut observer = MetricsObserver::register(&registry);
-    let from_metrics = mine_with_observer(&m, &params, &mut observer).unwrap();
-    assert_eq!(from_stats, from_metrics);
+    let observer = MetricsObserver::register(&registry);
+    let (clusters, stats) = mine_observed(&m, &params, &observer);
+    assert_eq!(clusters, mine(&m, &params).unwrap());
 
     let counter = |name: &str, help: &str| registry.counter(name, help, &[]).get();
     let rule = |label: &str| {
@@ -57,8 +75,8 @@ fn min_conds_pruning_is_observable() {
     let m = running_example();
     let params = MiningParams::new(3, 6, 0.15, 0.1).unwrap();
     let registry = MetricsRegistry::new();
-    let mut observer = MetricsObserver::register(&registry);
-    let clusters = mine_with_observer(&m, &params, &mut observer).unwrap();
+    let observer = MetricsObserver::register(&registry);
+    let (clusters, _) = mine_observed(&m, &params, &observer);
     assert!(clusters.is_empty(), "MinC = 6 must starve the search");
 
     let min_conds = registry

@@ -3,9 +3,30 @@
 
 use regcluster::core::coherence::h_series;
 use regcluster::core::miner::Miner;
-use regcluster::core::observer::{PruneRule, TraceObserver};
-use regcluster::core::{mine, mine_parallel, mine_with_observer, MiningParams};
+use regcluster::core::observer::{PruneRule, SyncMineObserver, TraceObserver};
+use regcluster::core::{
+    finalize_clusters, mine, mine_prepared_to_sink, EngineConfig, MineControl, MiningParams,
+    RegCluster, VecSink,
+};
 use regcluster::datagen::running_example;
+use regcluster::matrix::ExpressionMatrix;
+
+/// Mines every root at `threads` threads, reporting events to `observer`;
+/// collected and finalized.
+fn mine_observed(
+    m: &ExpressionMatrix,
+    params: &MiningParams,
+    threads: usize,
+    observer: &dyn SyncMineObserver,
+) -> Vec<RegCluster> {
+    let miner = Miner::new(m, params).unwrap();
+    let sink = VecSink::new();
+    let config = EngineConfig::new(threads);
+    mine_prepared_to_sink(&miner, &config, &MineControl::new(), observer, &sink).unwrap();
+    let mut clusters = sink.into_clusters();
+    finalize_clusters(&mut clusters, params);
+    clusters
+}
 
 // 0-based ids: gene g_k is k−1, condition c_k is k−1.
 const C1: usize = 0;
@@ -104,8 +125,9 @@ fn figure_4_outlier_detection() {
 #[test]
 fn figure_6_unique_cluster_and_prunings() {
     let m = running_example();
-    let mut trace = TraceObserver::default();
-    let clusters = mine_with_observer(&m, &params(), &mut trace).unwrap();
+    // One thread: the trace is the whole tree in depth-first order.
+    let trace = TraceObserver::default();
+    let clusters = mine_observed(&m, &params(), 1, &trace);
 
     // "the only validated representative regulation chain discovered is
     // c7 ↰ c9 ↰ c5 ↰ c1 ↰ c3".
@@ -116,27 +138,27 @@ fn figure_6_unique_cluster_and_prunings() {
     assert_eq!(c.n_members, vec![1]);
 
     // Level-1 prunings: c3's subtree dies to (3)(a) with one p-member.
-    assert!(trace.pruned_by(PruneRule::FewPMembers).contains(&&[C3][..]));
+    assert!(trace.pruned_by(PruneRule::FewPMembers).contains(&vec![C3]));
     // c2c1 and c2c9 die to MinG pruning (1).
     let min_g = trace.pruned_by(PruneRule::MinGenes);
-    assert!(min_g.contains(&&[C2, C1][..]));
-    assert!(min_g.contains(&&[C2, C9][..]));
+    assert!(min_g.contains(&vec![C2, C1]));
+    assert!(min_g.contains(&vec![C2, C9]));
     // c2c10c5 dies to coherence pruning (4)...
     assert!(trace
         .pruned_by(PruneRule::Coherence)
-        .contains(&&[C2, C10, C5][..]));
+        .contains(&vec![C2, C10, C5]));
     // ...and c2c10c8 and c7c10 to MinG pruning (1).
-    assert!(min_g.contains(&&[C2, C10, C8][..]));
-    assert!(min_g.contains(&&[C7, C10][..]));
+    assert!(min_g.contains(&vec![C2, C10, C8]));
+    assert!(min_g.contains(&vec![C7, C10]));
 
     // The paper's explored path c7 → c7c9 → c7c9c5 → c7c9c5c1 → output.
     let nodes = trace.nodes();
     for prefix in [
-        &[C7][..],
-        &[C7, C9][..],
-        &[C7, C9, C5][..],
-        &[C7, C9, C5, C1][..],
-        &[C7, C9, C5, C1, C3][..],
+        vec![C7],
+        vec![C7, C9],
+        vec![C7, C9, C5],
+        vec![C7, C9, C5, C1],
+        vec![C7, C9, C5, C1, C3],
     ] {
         assert!(
             nodes.contains(&prefix),
@@ -149,9 +171,11 @@ fn figure_6_unique_cluster_and_prunings() {
 fn result_is_stable_across_drivers() {
     let m = running_example();
     let p = params();
-    let seq = mine(&m, &p).unwrap();
+    let one = mine(&m, &p).unwrap();
     for threads in [1, 2, 8] {
-        assert_eq!(seq, mine_parallel(&m, &p, threads).unwrap());
+        let trace = TraceObserver::default();
+        assert_eq!(one, mine_observed(&m, &p, threads, &trace));
+        assert_eq!(trace.n_emitted(), 1, "threads = {threads}");
     }
 }
 

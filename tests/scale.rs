@@ -1,9 +1,12 @@
 //! Large-scale smoke tests, ignored by default (run with
 //! `cargo test --release -- --ignored`). These exercise the sizes the
 //! paper's Figure 7 sweeps at their upper ends and the memory behaviour of
-//! the parallel driver.
+//! multi-threaded runs.
 
-use regcluster::core::{mine, mine_parallel, MiningParams};
+use regcluster::core::{
+    finalize_clusters, mine, mine_prepared_to_sink, EngineConfig, MineControl, Miner, MiningParams,
+    NoopObserver, VecSink,
+};
 use regcluster::datagen::{generate, SyntheticConfig};
 
 #[test]
@@ -26,16 +29,21 @@ fn ten_thousand_genes_mine_in_reasonable_time() {
 
 #[test]
 #[ignore = "multi-second release-mode scale test"]
-fn parallel_matches_sequential_at_scale() {
+fn eight_threads_match_one_at_scale() {
     let cfg = SyntheticConfig {
         n_genes: 4000,
         ..SyntheticConfig::default()
     };
     let data = generate(&cfg).unwrap();
     let params = MiningParams::new(40, 6, 0.1, 0.01).unwrap();
-    let seq = mine(&data.matrix, &params).unwrap();
-    let par = mine_parallel(&data.matrix, &params, 8).unwrap();
-    assert_eq!(seq, par);
+    let one = mine(&data.matrix, &params).unwrap();
+    let miner = Miner::new(&data.matrix, &params).unwrap();
+    let sink = VecSink::new();
+    let config = EngineConfig::new(8);
+    mine_prepared_to_sink(&miner, &config, &MineControl::new(), &NoopObserver, &sink).unwrap();
+    let mut par = sink.into_clusters();
+    finalize_clusters(&mut par, &params);
+    assert_eq!(one, par);
 }
 
 #[test]
