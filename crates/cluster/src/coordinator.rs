@@ -45,7 +45,9 @@ use std::time::{Duration, Instant};
 use regcluster_core::{matrix_fingerprint, partition_roots, MiningParams};
 use regcluster_matrix::io::read_matrix_file;
 use regcluster_obs::MetricsRegistry;
-use regcluster_store::{merge_shards, ClusterStore, Generations, Journal, JournalRecord};
+use regcluster_store::{
+    merge_shards, replace_file, ClusterStore, Generations, Journal, JournalRecord,
+};
 
 use crate::error::ClusterError;
 use crate::http::{HttpServer, Request, Response, MAX_INFLIGHT};
@@ -56,7 +58,7 @@ use crate::protocol::{AcquireRequest, AcquireResponse, JobInfo, RenewRequest, St
 /// reg-cluster engine supports roots-subset mining today.
 pub const CLUSTER_ENGINE: &str = "reg-cluster";
 
-/// How often the main loop sweeps expired leases.
+/// How often the main loop sweeps expired leases when nothing wakes it.
 const SWEEP_EVERY: Duration = Duration::from_millis(50);
 
 /// Coordinator configuration.
@@ -113,6 +115,14 @@ struct Slot {
     state: SlotState,
 }
 
+/// What wakes the main loop before its next sweep.
+struct Wake {
+    /// Set by `POST /shutdown`.
+    shutdown: bool,
+    /// Set by the upload that stages the last shard: time to merge.
+    all_staged: bool,
+}
+
 struct CoordState {
     slots: Mutex<Vec<Slot>>,
     /// The write-ahead journal. Lock order: `slots` before `journal`.
@@ -127,9 +137,10 @@ struct CoordState {
     lease_ttl: Duration,
     metrics: ClusterMetrics,
     registry: MetricsRegistry,
-    /// Set by `POST /shutdown`; the run loop and the linger park both
-    /// watch it, so shutdown drains promptly instead of on a timer.
-    shutdown: (Mutex<bool>, Condvar),
+    /// The run loop and the linger park wait on this, so shutdown drains
+    /// and the merge starts promptly instead of on a timer. Lock order:
+    /// `slots` before `wake`.
+    wake: (Mutex<Wake>, Condvar),
 }
 
 impl CoordState {
@@ -145,8 +156,13 @@ impl CoordState {
         Ok(())
     }
 
-    fn shutdown_requested(&self) -> bool {
-        *self.shutdown.0.lock().unwrap()
+    /// Sets one [`Wake`] flag and wakes every waiter. The flag is set
+    /// under the mutex the waiters check it under, so a wake-up landing
+    /// between their check and their wait is not lost.
+    fn wake(&self, set: impl FnOnce(&mut Wake)) {
+        let (lock, cvar) = &self.wake;
+        set(&mut lock.lock().expect("no wake flag update panics"));
+        cvar.notify_all();
     }
 }
 
@@ -379,6 +395,7 @@ pub fn run_coordinator(cfg: &CoordinatorConfig) -> Result<CoordinatorReport, Clu
         eprintln!("coordinator: restored {recovered_leases} live leases from the journal");
     }
 
+    let all_staged = slots.iter().all(|s| matches!(s.state, SlotState::Done));
     let state = Arc::new(CoordState {
         slots: Mutex::new(slots),
         journal: Mutex::new(journal),
@@ -392,7 +409,13 @@ pub fn run_coordinator(cfg: &CoordinatorConfig) -> Result<CoordinatorReport, Clu
         lease_ttl: cfg.lease_ttl,
         metrics,
         registry,
-        shutdown: (Mutex::new(false), Condvar::new()),
+        wake: (
+            Mutex::new(Wake {
+                shutdown: false,
+                all_staged,
+            }),
+            Condvar::new(),
+        ),
     });
 
     let handler_state = Arc::clone(&state);
@@ -408,10 +431,18 @@ pub fn run_coordinator(cfg: &CoordinatorConfig) -> Result<CoordinatorReport, Clu
     );
 
     // Main loop: sweep silent workers' leases back to the pool until
-    // every range has a validated shard.
+    // every range has a validated shard. The wait ends early when the last
+    // shard is staged or a shutdown is requested.
     loop {
-        std::thread::sleep(SWEEP_EVERY);
-        if state.shutdown_requested() {
+        let shutdown = {
+            let (lock, cvar) = &state.wake;
+            let wake = lock.lock().expect("no wake flag update panics");
+            let (wake, _) = cvar
+                .wait_timeout_while(wake, SWEEP_EVERY, |w| !w.shutdown && !w.all_staged)
+                .expect("no wake flag update panics");
+            wake.shutdown
+        };
+        if shutdown {
             server.shutdown();
             return Err(ClusterError::Protocol(
                 "shutdown requested before the run completed".into(),
@@ -475,15 +506,15 @@ pub fn run_coordinator(cfg: &CoordinatorConfig) -> Result<CoordinatorReport, Clu
         reassignments: state.metrics.leases_expired.get(),
     };
     if cfg.linger {
-        // Interruptible park: `POST /shutdown` (or any notifier) wakes
-        // the condvar and the process drains immediately — no
-        // sleep-loop latency between the signal and the exit.
-        let (lock, cvar) = &state.shutdown;
-        let mut stopped = lock.lock().unwrap();
-        while !*stopped {
-            stopped = cvar.wait(stopped).unwrap();
-        }
-        drop(stopped);
+        // Interruptible park: `POST /shutdown` wakes the condvar and the
+        // process drains immediately — no sleep-loop latency between the
+        // signal and the exit.
+        let (lock, cvar) = &state.wake;
+        let wake = lock.lock().expect("no wake flag update panics");
+        drop(
+            cvar.wait_while(wake, |w| !w.shutdown)
+                .expect("no wake flag update panics"),
+        );
         eprintln!("coordinator: shutdown requested; draining");
     }
     server.shutdown();
@@ -511,9 +542,7 @@ fn handle(state: &CoordState, req: &Request) -> Response {
 /// `POST /shutdown`: wakes the linger park (and the mining sweep loop)
 /// so the process drains promptly.
 fn request_shutdown(state: &CoordState) -> Response {
-    let (lock, cvar) = &state.shutdown;
-    *lock.lock().unwrap() = true;
-    cvar.notify_all();
+    state.wake(|w| w.shutdown = true);
     Response::json(200, "{\"kind\":\"stopping\"}".to_string())
 }
 
@@ -667,7 +696,9 @@ fn upload(state: &CoordState, path: &str, body: &[u8]) -> Response {
         // 200 was lost in flight and it retried).
         SlotState::Done => Response::text(200, "already staged"),
         SlotState::Leased { epoch: current, .. } if *current == epoch => {
-            if let Err(e) = stage_shard(&state.shard_path(lease), body) {
+            // Atomic and durable: a crash leaves a complete staged shard
+            // or none.
+            if let Err(e) = replace_file(&state.shard_path(lease), body, None) {
                 state.metrics.shards_rejected.inc();
                 return Response::text(500, format!("staging failed: {e}"));
             }
@@ -685,6 +716,9 @@ fn upload(state: &CoordState, path: &str, body: &[u8]) -> Response {
             }
             slot.state = SlotState::Done;
             state.metrics.shards_uploaded.inc();
+            if slots.iter().all(|s| matches!(s.state, SlotState::Done)) {
+                state.wake(|w| w.all_staged = true);
+            }
             Response::text(200, "staged")
         }
         _ => {
@@ -692,22 +726,4 @@ fn upload(state: &CoordState, path: &str, body: &[u8]) -> Response {
             Response::text(409, "lease lost")
         }
     }
-}
-
-/// Stages shard bytes durably: tmp + fsync + rename + dir fsync, so a
-/// coordinator crash leaves either a complete staged shard or none.
-fn stage_shard(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("rcs.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        std::io::Write::write_all(&mut f, bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
-    Ok(())
 }

@@ -430,24 +430,24 @@ pub fn http_request(
     })
 }
 
+/// Serializes the crate's tests that make HTTP requests. Failpoints are
+/// process-global: the fault-injection test below arms network faults
+/// that would hit any concurrently-running request of another test.
+#[cfg(test)]
+pub(crate) fn serial_http_tests() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Failpoints are process-global: the fault-injection test below arms
-    // response drops that would hit any concurrently-running HTTP test,
-    // so every test in this module serializes on this.
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn round_trips_get_and_post() {
-        let _guard = serial();
+        let _guard = serial_http_tests();
         let server = HttpServer::start(0, |req| match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/ping") => Response::text(200, "pong"),
             ("POST", "/echo") => Response {
@@ -477,7 +477,7 @@ mod tests {
 
     #[test]
     fn rejects_unknown_methods() {
-        let _guard = serial();
+        let _guard = serial_http_tests();
         let server = HttpServer::start(0, |_| Response::text(200, "ok")).unwrap();
         let addr = format!("127.0.0.1:{}", server.port());
         let reply = http_request(&addr, "DELETE", "/x", &[]).unwrap();
@@ -487,7 +487,7 @@ mod tests {
 
     #[test]
     fn retry_after_round_trips_on_a_shed_style_response() {
-        let _guard = serial();
+        let _guard = serial_http_tests();
         let server = HttpServer::start(0, |_| Response::unavailable(7)).unwrap();
         let addr = format!("127.0.0.1:{}", server.port());
         let reply = http_request(&addr, "GET", "/x", &[]).unwrap();
@@ -498,7 +498,7 @@ mod tests {
 
     #[test]
     fn overloaded_server_sheds_with_retry_after() {
-        let _guard = serial();
+        let _guard = serial_http_tests();
         // Cap of 1 with a handler that parks: the second concurrent
         // request must be shed, not queued.
         let gate = Arc::new(AtomicBool::new(false));
@@ -528,7 +528,7 @@ mod tests {
 
     #[test]
     fn injected_response_faults_surface_as_client_errors() {
-        let _guard = serial();
+        let _guard = serial_http_tests();
         let server = HttpServer::start(0, |req| match req.path.as_str() {
             p if p.starts_with("/shard/") => Response::text(200, "staged"),
             _ => Response::text(200, "ok"),

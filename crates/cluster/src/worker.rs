@@ -19,11 +19,13 @@
 //! TTL of failed renewals, it cancels the [`MineControl`]; the engine
 //! stops early and flushes a final checkpoint, and the worker goes back
 //! to acquiring. Mining output is never uploaded under a lost lease —
-//! the coordinator's epoch check would refuse it anyway.
+//! the coordinator's epoch check would refuse it anyway. The thread waits
+//! out each TTL/3 interval on a condition variable rather than in a
+//! sleep, so when mining finishes, stopping the heartbeat wakes it at once
+//! and the shard goes up without waiting for the next renewal tick.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use regcluster_core::{
@@ -85,6 +87,18 @@ pub struct WorkerReport {
     pub upload_retry_after: u64,
 }
 
+/// What every lease of one worker run shares, computed once per worker.
+struct WorkerCtx<'a> {
+    cfg: &'a WorkerConfig,
+    params: &'a MiningParams,
+    matrix: &'a ExpressionMatrix,
+    miner: &'a Miner<'a>,
+    /// Stamped into every shard; its root fingerprints cost a pass over
+    /// every root's members, so they are not recomputed per lease.
+    provenance: StoreProvenance,
+    metrics: &'a WorkerMetrics,
+}
+
 /// Outcome of mining one granted lease.
 enum LeaseOutcome {
     Uploaded { resumed: bool },
@@ -123,6 +137,20 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, ClusterError> {
 
     let registry = MetricsRegistry::new();
     let metrics = WorkerMetrics::register(&registry);
+    let ctx = WorkerCtx {
+        cfg,
+        params: &params,
+        matrix: &matrix,
+        miner: &miner,
+        provenance: StoreProvenance {
+            engine: Some(CLUSTER_ENGINE.to_string()),
+            engine_params: Some(serde_json::to_string(&params)?),
+            generation: job.generation,
+            matrix_fingerprint: Some(job.matrix_fingerprint),
+            root_fingerprints: Some(root_fingerprints(&miner)),
+        },
+        metrics: &metrics,
+    };
 
     let mut report = WorkerReport::default();
     // Acquire retries forever (the coordinator may be restarting), so no
@@ -158,18 +186,16 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, ClusterError> {
             };
         backoff.reset();
         match response.kind.as_str() {
-            "grant" => {
-                match mine_lease(cfg, &job, &params, &matrix, &miner, &response, &metrics)? {
-                    LeaseOutcome::Uploaded { resumed } => {
-                        report.leases_mined += 1;
-                        report.shards_uploaded += 1;
-                        if resumed {
-                            report.leases_resumed += 1;
-                        }
+            "grant" => match mine_lease(&ctx, &response)? {
+                LeaseOutcome::Uploaded { resumed } => {
+                    report.leases_mined += 1;
+                    report.shards_uploaded += 1;
+                    if resumed {
+                        report.leases_resumed += 1;
                     }
-                    LeaseOutcome::Lost => report.leases_lost += 1,
                 }
-            }
+                LeaseOutcome::Lost => report.leases_lost += 1,
+            },
             "wait" => {
                 backoff.sleep();
             }
@@ -226,15 +252,8 @@ fn parse_json<T: serde::Deserialize>(bytes: &[u8]) -> Option<T> {
 
 /// Mines one granted lease: resume from checkpoint or sealed shard when
 /// present, heartbeat while mining, seal and upload.
-fn mine_lease(
-    cfg: &WorkerConfig,
-    job: &JobInfo,
-    params: &MiningParams,
-    matrix: &ExpressionMatrix,
-    miner: &Miner<'_>,
-    grant: &AcquireResponse,
-    metrics: &WorkerMetrics,
-) -> Result<LeaseOutcome, ClusterError> {
+fn mine_lease(ctx: &WorkerCtx<'_>, grant: &AcquireResponse) -> Result<LeaseOutcome, ClusterError> {
+    let (cfg, metrics) = (ctx.cfg, ctx.metrics);
     let (lease, start, end) = (grant.lease, grant.start as usize, grant.end as usize);
     let shard_path = cfg
         .work_dir
@@ -264,16 +283,10 @@ fn mine_lease(
 
     let writer = StoreWriter::create_with_provenance(
         &shard_path,
-        matrix.gene_names(),
-        matrix.condition_names(),
-        params,
-        &StoreProvenance {
-            engine: Some(CLUSTER_ENGINE.to_string()),
-            engine_params: Some(serde_json::to_string(params)?),
-            generation: job.generation,
-            matrix_fingerprint: Some(job.matrix_fingerprint),
-            root_fingerprints: Some(root_fingerprints(miner)),
-        },
+        ctx.matrix.gene_names(),
+        ctx.matrix.condition_names(),
+        ctx.params,
+        &ctx.provenance,
     )?;
     let ck_file = CheckpointFile::new(&ck_path);
     let mut plan = CheckpointPlan::new(&ck_file).with_every(cfg.checkpoint_every);
@@ -285,7 +298,7 @@ fn mine_lease(
     let heartbeat = spawn_heartbeat(cfg, grant, &control);
     let roots = range_roots(start, end);
     let mine_result = mine_prepared_roots_to_sink_checkpointed(
-        miner,
+        ctx.miner,
         &roots,
         &EngineConfig::new(cfg.threads.max(1)),
         &control,
@@ -386,13 +399,20 @@ fn upload_shard(
 
 /// Handle for the per-lease heartbeat thread.
 struct Heartbeat {
-    stop: Arc<AtomicBool>,
+    /// Set by [`stop`](Heartbeat::stop); the thread waits out each
+    /// interval on this condition variable.
+    stopped: Arc<(Mutex<bool>, Condvar)>,
     handle: std::thread::JoinHandle<()>,
 }
 
 impl Heartbeat {
+    /// Stops renewing and joins the thread. A thread waiting out its
+    /// interval wakes at once; only a renewal already in flight is
+    /// waited for.
     fn stop(self) {
-        self.stop.store(true, Ordering::SeqCst);
+        let (lock, cvar) = &*self.stopped;
+        *lock.lock().expect("no stop flag update panics") = true;
+        cvar.notify_all();
         let _ = self.handle.join();
     }
 }
@@ -405,8 +425,8 @@ fn spawn_heartbeat(
     grant: &AcquireResponse,
     control: &MineControl,
 ) -> Heartbeat {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_thread = Arc::clone(&stop);
+    let stopped = Arc::new((Mutex::new(false), Condvar::new()));
+    let stopped_thread = Arc::clone(&stopped);
     let control = control.clone();
     let coordinator = cfg.coordinator.clone();
     let ttl = Duration::from_millis(grant.ttl_ms.max(300));
@@ -419,11 +439,18 @@ fn spawn_heartbeat(
     let handle = std::thread::spawn(move || {
         let interval = ttl / 3;
         let mut last_ok = Instant::now();
-        while !stop_thread.load(Ordering::SeqCst) {
-            std::thread::sleep(interval);
-            if stop_thread.load(Ordering::SeqCst) {
+        let (lock, cvar) = &*stopped_thread;
+        loop {
+            // The flag is checked under its mutex, so a `stop` that lands
+            // during a renewal is seen here rather than waited out.
+            let stop = lock.lock().expect("no stop flag update panics");
+            let (stop, _) = cvar
+                .wait_timeout_while(stop, interval, |stop| !*stop)
+                .expect("no stop flag update panics");
+            if *stop {
                 break;
             }
+            drop(stop);
             match http_request(&coordinator, "POST", "/lease/renew", body.as_bytes()) {
                 Ok(reply) if reply.status == 200 => last_ok = Instant::now(),
                 Ok(reply) if reply.status == 409 => {
@@ -441,5 +468,126 @@ fn spawn_heartbeat(
             }
         }
     });
-    Heartbeat { stop, handle }
+    Heartbeat { stopped, handle }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    use super::*;
+    use crate::http::{serial_http_tests, HttpServer, Response};
+
+    fn config(coordinator: String) -> WorkerConfig {
+        WorkerConfig {
+            coordinator,
+            matrix_path: PathBuf::new(),
+            work_dir: PathBuf::new(),
+            worker_id: "w".to_string(),
+            threads: 1,
+            checkpoint_every: Duration::from_secs(1),
+            poll: Duration::from_millis(10),
+        }
+    }
+
+    fn grant(ttl_ms: u64) -> AcquireResponse {
+        AcquireResponse {
+            kind: "grant".to_string(),
+            lease: 0,
+            start: 0,
+            end: 1,
+            epoch: 1,
+            ttl_ms,
+        }
+    }
+
+    /// Polls until `control` is cancelled; returns how long that took from
+    /// `since`, or `None` if `limit` passes first.
+    fn cancelled_after(control: &MineControl, since: Instant, limit: Duration) -> Option<Duration> {
+        while since.elapsed() < limit {
+            if control.is_cancelled() {
+                return Some(since.elapsed());
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        None
+    }
+
+    #[test]
+    fn stop_wakes_the_heartbeat_mid_interval() {
+        let _guard = serial_http_tests();
+        let server = HttpServer::start(0, |_| Response::json(200, "{}".to_string())).unwrap();
+        let control = MineControl::new();
+        // A 60 s TTL renews every 20 s: a sleeping heartbeat would hold
+        // `stop` for that long.
+        let heartbeat = spawn_heartbeat(
+            &config(format!("127.0.0.1:{}", server.port())),
+            &grant(60_000),
+            &control,
+        );
+        let t = Instant::now();
+        heartbeat.stop();
+        let took = t.elapsed();
+        server.shutdown();
+        assert!(took < Duration::from_millis(500), "stop took {took:?}");
+        assert!(!control.is_cancelled());
+    }
+
+    #[test]
+    fn a_fenced_renewal_cancels_the_mine() {
+        let _guard = serial_http_tests();
+        let server = HttpServer::start(0, |req| match req.path.as_str() {
+            "/lease/renew" => Response::text(409, "lease lost"),
+            _ => Response::text(404, "not found"),
+        })
+        .unwrap();
+        let control = MineControl::new();
+        let start = Instant::now();
+        let heartbeat = spawn_heartbeat(
+            &config(format!("127.0.0.1:{}", server.port())),
+            &grant(300),
+            &control,
+        );
+        let cancelled = cancelled_after(&control, start, Duration::from_secs(10));
+        heartbeat.stop();
+        server.shutdown();
+        // The first renewal (at TTL/3) is fenced; no TTL has to pass.
+        let took = cancelled.expect("a 409 must cancel the mine");
+        assert!(
+            took < Duration::from_millis(300),
+            "cancelled after {took:?}"
+        );
+    }
+
+    #[test]
+    fn renewals_that_never_land_cancel_the_mine_after_a_ttl() {
+        let _guard = serial_http_tests();
+        // A peer that accepts every connection and closes it unanswered.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let done = Arc::new(AtomicBool::new(false));
+        let done_peer = Arc::clone(&done);
+        let peer = std::thread::spawn(move || {
+            for conn in listener.incoming() {
+                drop(conn);
+                if done_peer.load(Ordering::SeqCst) {
+                    break;
+                }
+            }
+        });
+        let control = MineControl::new();
+        let start = Instant::now();
+        let heartbeat = spawn_heartbeat(&config(addr.to_string()), &grant(300), &control);
+        let cancelled = cancelled_after(&control, start, Duration::from_secs(10));
+        heartbeat.stop();
+        done.store(true, Ordering::SeqCst);
+        let _ = std::net::TcpStream::connect(addr);
+        peer.join().unwrap();
+        let took = cancelled.expect("a TTL without a renewal must cancel the mine");
+        assert!(
+            took > Duration::from_millis(300),
+            "cancelled early, after {took:?}"
+        );
+    }
 }

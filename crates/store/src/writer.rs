@@ -107,9 +107,10 @@ pub struct StoreWriter {
 
 /// One atomic replacement of a destination file: a scratch file of its own
 /// (`<dest>.<pid>.<seq>.tmp`), renamed over the destination once complete.
-/// Every store-crate file that is replaced whole — the `.rcs` writer,
-/// `.rck` saves, the journal rewrite and the `CURRENT` pointer — goes
-/// through this type, so the scratch rules live in one place:
+/// Every file that is replaced whole — the `.rcs` writer, `.rck` saves,
+/// the journal rewrite, the `CURRENT` pointer and (through
+/// [`replace_file`]) a cluster coordinator's staged shards — goes through
+/// this type, so the scratch rules live in one place:
 ///
 /// * each write gets a fresh name, so concurrent writers of one
 ///   destination (in this process or another) never touch each other's
@@ -172,11 +173,18 @@ impl Drop for Scratch {
     }
 }
 
-/// Replaces `dest` with `bytes` atomically through a [`Scratch`]: write,
-/// fsync, the `commit_point` failpoint (if any), rename, and fsync the
-/// parent directory. On error before the rename `dest` keeps its previous
-/// contents and the scratch file is removed.
-pub(crate) fn replace_file(
+/// Replaces `dest` with `bytes` atomically through a scratch file of its
+/// own (`<dest>.<pid>.<seq>.tmp`): write, fsync, the `commit_point`
+/// failpoint (if any), rename, and fsync the parent directory. Scratch of
+/// `dest` left by a dead writer is removed first. On error before the
+/// rename `dest` keeps its previous contents and the scratch file is
+/// removed.
+///
+/// # Errors
+///
+/// [`std::io::Error`] from any step; an armed `commit_point` failpoint
+/// fails the write before the rename.
+pub fn replace_file(
     dest: &Path,
     bytes: &[u8],
     commit_point: Option<&'static str>,

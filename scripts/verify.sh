@@ -22,6 +22,10 @@ cargo build --release
 echo "==> cargo test -q --workspace (every crate's unit, integration and doc tests)"
 cargo test -q --workspace
 
+echo "==> perfbench build + tests (the benchmark harness against the current product API)"
+cargo build --release --manifest-path perfbench/Cargo.toml
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> store durability (round-trip + corruption)"
 cargo test -q -p regcluster-store --test roundtrip --test corruption
 
